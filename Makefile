@@ -17,7 +17,7 @@ RESULTS ?= results
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test experiments-quick experiments-check experiments-all regen-experiments-md fuzz-smoke chaos-smoke trace-smoke attack-smoke interference-smoke scan-smoke bench-smoke bench-baseline perf-gate equivalence-check clean-cache
+.PHONY: test experiments-quick experiments-check experiments-all regen-experiments-md fuzz-smoke chaos-smoke trace-smoke attack-smoke interference-smoke scan-smoke bench-smoke bench-baseline perf-gate perfbench equivalence-check clean-cache
 
 test:
 	$(PY) -m pytest -x -q
@@ -194,6 +194,19 @@ perf-gate:
 	print(f'compiled engine {ratio:.2f}x interpreter on identical stepped work')"
 	rm -rf $(RESULTS)-perf
 	@echo "perf-gate: no regression vs baseline; engine speedup intact"
+
+## End-to-end benchmark (docs/performance.md, perfbench/NOTES.md): one
+## run of every BENCHMARK.json workload at seed 1 for its run_seconds
+## (25), through the command BENCHMARK.json declares.  perfbench/run.py
+## exits 1 when any check fails (clean fuzz verdict, committed output
+## digest, repeatable simulated counters); the first failure fails the
+## target.
+PERFBENCH_WORKLOADS = fuzz-oracle fig11-fingerprint spectre-stl
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 25 --trace 0 || exit 1; \
+	done
+	@echo "perfbench: every workload passed its checks"
 
 ## Behaviour-equivalence gate for interpreter optimizations: recompute
 ## experiment/corpus/trace digests and require byte-identical results

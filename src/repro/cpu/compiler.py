@@ -1211,7 +1211,7 @@ def compile_program(program: Program, lat: LatencyModel) -> CompiledProgram:
     if ckey is not None and ckey[0] is dec and ckey[1] == lat.alu and ckey[2] == lat.imul:
         _stats["hits"] += 1
         return program._compiled
-    key = (program._decoded_src, program._decoded_base, lat.alu, lat.imul)
+    key = (program._layout_src, program._layout_base, lat.alu, lat.imul)
     try:
         code = _cache.get(key)
     except TypeError:

@@ -414,6 +414,20 @@ def _decode_args(instruction: Instruction, labels: dict[str, int]) -> tuple:
     return ()
 
 
+class _CodeBytes(dict):
+    """Instruction class -> its one-byte synthetic encoding (computed once)."""
+
+    __slots__ = ()
+
+    def __missing__(self, cls: type) -> bytes:
+        digest = zlib.crc32(cls.__name__.encode())
+        code = self[cls] = bytes([(digest & 0xFF) or 0x90])
+        return code
+
+
+_CODE_BYTES = _CodeBytes()
+
+
 @dataclass
 class Program:
     """An assembled instruction sequence with label resolution.
@@ -430,11 +444,13 @@ class Program:
     name: str = "program"
     _ivas: list[int] = field(default_factory=list, repr=False)
     _labels: dict[str, int] = field(default_factory=dict, repr=False)
+    #: The instruction tuple and base IVA ``_ivas``/``_labels`` were laid
+    #: out for; ``None`` makes ``__post_init__`` lay the program out.
+    _layout_src: "tuple | None" = field(default=None, repr=False, compare=False)
+    _layout_base: "int | None" = field(default=None, repr=False, compare=False)
     _decoded: "DecodedProgram | None" = field(
         default=None, repr=False, compare=False
     )
-    _decoded_src: "tuple | None" = field(default=None, repr=False, compare=False)
-    _decoded_base: "int | None" = field(default=None, repr=False, compare=False)
     #: Instance cache for the closure-compiled form (owned by
     #: :mod:`repro.cpu.compiler`): the compiled table plus the
     #: ``(decoded identity, latency constants)`` key it was built for.
@@ -442,23 +458,45 @@ class Program:
     _compiled_key: "tuple | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._layout()
+        if self._layout_src is None:
+            self._layout()
 
     def _layout(self) -> None:
+        """Derive IVAs and labels from the current content; drops ``_decoded``."""
+        src = tuple(self.instructions)
         self._ivas = []
         self._labels = {}
         cursor = self.base_iva
-        for index, instruction in enumerate(self.instructions):
+        for index, instruction in enumerate(src):
             self._ivas.append(cursor)
             if isinstance(instruction, Label):
                 if instruction.name in self._labels:
                     raise ConfigError(f"duplicate label {instruction.name!r}")
                 self._labels[instruction.name] = index
             cursor += instruction.size
+        self._layout_src = src
+        self._layout_base = self.base_iva
+        self._decoded = None
 
     def relocate(self, base_iva: int) -> "Program":
-        """A copy of this program laid out at a different base address."""
-        return Program(list(self.instructions), base_iva, self.name)
+        """A copy of this program laid out at a different base address.
+
+        Sizes do not depend on the address, so the copy's IVAs are this
+        layout's shifted by the base delta and its labels are the same.
+        """
+        src = tuple(self.instructions)
+        if self._layout_src != src:
+            self._layout()
+        delta = base_iva - self._layout_base
+        return Program(
+            list(src),
+            base_iva,
+            self.name,
+            _ivas=[iva + delta for iva in self._ivas],
+            _labels=dict(self._labels),
+            _layout_src=self._layout_src,
+            _layout_base=base_iva,
+        )
 
     def decoded(self) -> DecodedProgram:
         """The dense decoded form, cached on the instance.
@@ -470,7 +508,9 @@ class Program:
         re-layout + re-decode; returning the same objects hits.  The
         content check is an element-wise tuple comparison, which
         short-circuits on object identity, so a cache hit costs one
-        O(n) pointer sweep rather than a full re-decode.
+        O(n) pointer sweep rather than a full re-decode.  A program whose
+        content is unchanged since its last layout (a fresh or relocated
+        one) is not laid out again.
 
         On an instance miss, the process-wide content-keyed LRU is
         consulted before re-decoding, so a *fresh* Program around
@@ -480,24 +520,20 @@ class Program:
         (:data:`DECODE_CACHE_SIZE`); see :func:`decode_cache_info`.
         """
         src = tuple(self.instructions)
-        if (
-            self._decoded is not None
-            and self._decoded_base == self.base_iva
-            and self._decoded_src == src
-        ):
+        if self._layout_base != self.base_iva or self._layout_src != src:
+            self._layout()
+        elif self._decoded is not None:
             return self._decoded
-        self._layout()  # re-derive IVAs/labels in case of in-place mutation
+        key = (src, self.base_iva)
         try:
-            shared = _decode_cache.get((src, self.base_iva))
+            shared = _decode_cache.get(key)
         except TypeError:
             shared = None  # unhashable instruction subclass: skip sharing
         else:
             if shared is not None:
-                _decode_cache.move_to_end((src, self.base_iva))
+                _decode_cache.move_to_end(key)
                 _decode_stats["hits"] += 1
                 self._decoded = shared
-                self._decoded_src = src
-                self._decoded_base = self.base_iva
                 return shared
             _decode_stats["misses"] += 1
         labels = self._labels
@@ -516,10 +552,8 @@ class Program:
             ivas=list(self._ivas),
             n=len(src),
         )
-        self._decoded_src = src
-        self._decoded_base = self.base_iva
         try:
-            _decode_cache[(src, self.base_iva)] = self._decoded
+            _decode_cache[key] = self._decoded
         except TypeError:
             pass  # unhashable content stays instance-cached only
         else:
@@ -550,11 +584,10 @@ class Program:
         sliding experiments can fill pages with them the way the paper
         fills pages with stld machine code.
         """
-        blob = bytearray()
-        for instruction in self.instructions:
-            digest = zlib.crc32(type(instruction).__name__.encode())
-            blob += bytes([(digest & 0xFF) or 0x90] * instruction.size)
-        return bytes(blob)
+        return b"".join(
+            _CODE_BYTES[type(instruction)] * instruction.size
+            for instruction in self.instructions
+        )
 
     def __len__(self) -> int:
         return len(self.instructions)

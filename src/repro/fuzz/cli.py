@@ -53,7 +53,7 @@ from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus, CorpusEntry
 from repro.fuzz.findings import Finding, write_findings
 from repro.fuzz.shrink import shrink_report
 from repro.runtime import exitcodes
-from repro.runtime.atomic import atomic_write_json
+from repro.runtime.atomic import atomic_write_text
 from repro.runtime.chaos import CHAOS_ENV_VAR, ChaosPlan
 from repro.runtime.cliutil import apply_engine, build_parser
 from repro.runtime.quarantine import quarantine
@@ -321,6 +321,11 @@ def _campaign_fingerprint(tasks: list[dict]) -> str:
     return content_key({"schema": CHECKPOINT_SCHEMA, "tasks": tasks})
 
 
+def _checkpoint_fragment(task_id: int, found: list[dict]) -> str:
+    """One task's ``"<id>": [findings]`` member of the checkpoint's ``completed``."""
+    return f'"{task_id}": {json.dumps(found, sort_keys=True)}'
+
+
 def _recover_fuzz_checkpoint(
     path: Path, fingerprint: str, say: Callable[[str], None]
 ) -> tuple[dict[int, list[dict]], int]:
@@ -332,6 +337,11 @@ def _recover_fuzz_checkpoint(
         if data["schema"] != CHECKPOINT_SCHEMA:
             raise ArtifactError(f"checkpoint schema {data['schema']} unsupported")
         stored_fingerprint = data["fingerprint"]
+        if not isinstance(data["completed"], dict):
+            raise ArtifactError(
+                f"checkpoint 'completed' is a {type(data['completed']).__name__}, "
+                f"expected an object"
+            )
         completed = {
             int(task_id): _validate_findings(found)
             for task_id, found in data["completed"].items()
@@ -417,22 +427,25 @@ def run_fuzz_campaign(
         if resumed:
             say(f"resumed {resumed} completed task(s) from {checkpoint}")
 
+    # Each completed task's entry is serialized once; a rewrite joins them.
+    fragments = {
+        task_id: _checkpoint_fragment(task_id, found)
+        for task_id, found in results.items()
+    }
+
     def write_checkpoint() -> None:
         if checkpoint is not None:
-            atomic_write_json(
+            body = ", ".join(fragments[task_id] for task_id in sorted(fragments))
+            atomic_write_text(
                 checkpoint,
-                {
-                    "schema": CHECKPOINT_SCHEMA,
-                    "fingerprint": fingerprint,
-                    "completed": {
-                        str(task_id): results[task_id]
-                        for task_id in sorted(results)
-                    },
-                },
+                f'{{"completed": {{{body}}}, '
+                f'"fingerprint": {json.dumps(fingerprint)}, '
+                f'"schema": {CHECKPOINT_SCHEMA}}}\n',
             )
 
     def on_result(task_id: int, found: list[dict]) -> None:
         results[task_id] = found
+        fragments[task_id] = _checkpoint_fragment(task_id, found)
         write_checkpoint()
         task = by_id[task_id]
         verdict = f"{len(found)} finding(s)" if found else "clean"

@@ -16,6 +16,21 @@ from repro.errors import ConfigError
 __all__ = ["Cache", "CacheStats"]
 
 
+class _Sets(dict):
+    """Set index -> that set's lines in LRU order, allocated on first touch.
+
+    A ``Machine``'s three levels have 33,856 sets between them and a
+    short run touches a few dozen, so allocating on demand keeps machine
+    construction cheap.  Probes that must not allocate use ``.get``.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, index: int) -> OrderedDict[int, None]:
+        bucket = self[index] = OrderedDict()
+        return bucket
+
+
 class CacheStats:
     """Hit/miss/eviction counters for one cache."""
 
@@ -68,9 +83,7 @@ class Cache:
         self.sets = size_bytes // (ways * line_size)
         if self.sets & (self.sets - 1):
             raise ConfigError(f"{name}: set count must be a power of two")
-        self._lines: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.sets)
-        ]
+        self._lines = _Sets()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -99,25 +112,25 @@ class Cache:
     def contains(self, paddr: int) -> bool:
         """Presence probe that does not disturb recency or stats."""
         set_index, line = self._index(paddr)
-        return line in self._lines[set_index]
+        bucket = self._lines.get(set_index)
+        return bucket is not None and line in bucket
 
     def flush_line(self, paddr: int) -> bool:
         """``clflush``: drop the line if present; returns whether it was."""
         set_index, line = self._index(paddr)
-        bucket = self._lines[set_index]
+        bucket = self._lines.get(set_index)
         self.stats.flushes += 1
-        if line in bucket:
+        if bucket is not None and line in bucket:
             del bucket[line]
             return True
         return False
 
     def flush_all(self) -> None:
-        for bucket in self._lines:
-            bucket.clear()
+        self._lines.clear()
 
     @property
     def occupancy(self) -> int:
-        return sum(len(bucket) for bucket in self._lines)
+        return sum(len(bucket) for bucket in self._lines.values())
 
     def __repr__(self) -> str:
         return (

@@ -39,12 +39,14 @@ resulting invariant against the dynamic oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 from repro.cpu.isa import DecodedProgram, Instruction, Program
 from repro.fuzz.gen import BUF_BYTES, REGS
 from repro.static.ir import IRProgram, lift
-from repro.static.taint import TaintResult, analyze_taint
+from repro.static.taint import EMPTY, TaintResult, analyze_taint
 from repro.static.windows import (
     BranchWindow,
     BypassEdge,
@@ -73,8 +75,7 @@ _BRANCH_PRECONDITION = (
 )
 
 
-@dataclass(frozen=True)
-class StaticGadget:
+class StaticGadget(NamedTuple):
     """One finding: a transmitting instruction plus its secret sources."""
 
     kind: str                      # one of GADGET_KINDS
@@ -106,15 +107,24 @@ class ScanReport:
     name: str
     mitigation: str
     instructions: int
-    gadgets: list[StaticGadget]
     edges: list[BypassEdge]
     windows: list[BranchWindow]
     sources: dict[int, str]        # node index -> secret-source kind
+    gadget_count: int              # len(gadgets), known before they are built
+    _build_gadgets: Callable[[], list[StaticGadget]] = field(repr=False, compare=False)
+
+    @cached_property
+    def gadgets(self) -> list[StaticGadget]:
+        """The findings in node order, built (spans, preconditions) on first use.
+
+        The fuzz prefilter reads only :attr:`clean`, so it never builds them.
+        """
+        return self._build_gadgets()
 
     @property
     def clean(self) -> bool:
         """No gadget of any kind — the program cannot leak (soundness)."""
-        return not self.gadgets
+        return not self.gadget_count
 
     def kinds(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -138,53 +148,33 @@ class ScanReport:
         }
 
 
+#: Memory-op node kind -> the gadget kind of a tainted address in it.
+_TRANSMIT_KINDS = {
+    "load": "transmit-load", "store": "transmit-store", "flush": "transmit-flush",
+}
+
+
 def _gadget_order(gadget: StaticGadget) -> tuple:
     return (gadget.node, GADGET_KINDS.index(gadget.kind), gadget.sources)
 
 
-def _preconditions_for(
-    taint: TaintResult,
-    sources: frozenset[int],
-    node: int,
-    maybe: list[bool],
-) -> tuple[str, ...]:
-    lines: list[str] = []
-    if any(taint.sources.get(index) == "stale-bypass" for index in sources):
-        lines.extend(bypass_preconditions() + psf_preconditions())
-    if maybe[node] or any(index < len(maybe) and maybe[index] for index in sources):
-        lines.append(_BRANCH_PRECONDITION)
-    return tuple(lines)
+def _buffer_ranges(ir: IRProgram, taint: TaintResult) -> dict[int, tuple[int, int] | None]:
+    """Memory-op node index -> the ``buf`` byte range it touches.
 
-
-def _killed_by(taint: TaintResult, channel: str, sources: frozenset[int]) -> tuple[str, ...]:
-    if channel == "spec" and all(
-        taint.sources.get(index) == "stale-bypass" for index in sources
-    ):
-        # Purely bypass-fed: both the chicken bit and the fence transform
-        # remove every edge, so the taint never arises.
-        return ("ssbd", "fence")
-    return ()
-
-
-def _may_alias(ir: IRProgram, taint: TaintResult, store: int, load: int) -> bool:
-    """Whether a store/load pair may touch overlapping buffer bytes.
-
-    Known, disjoint ``buf+const`` ranges provably cannot interact; any
-    unknown or tainted address may alias (conservative).
+    ``None`` marks an address that is unknown, off the buffer or out of
+    bounds: such an access may alias anything (conservative).
     """
-    ranges = []
-    for index in (store, load):
-        node = ir[index]
-        value = taint.values.get(index)
-        if value is None or value[0] != "buf":
-            return True
-        lo = value[1] + node.offset
+    nodes = ir.nodes
+    ranges: dict[int, tuple[int, int] | None] = {}
+    for index, (region, offset) in taint.values.items():
+        if region != "buf":
+            ranges[index] = None
+            continue
+        node = nodes[index]
+        lo = offset + node.offset
         hi = lo + max(1, node.width)
-        if lo < 0 or hi > BUF_BYTES:
-            return True
-        ranges.append((lo, hi))
-    (store_lo, store_hi), (load_lo, load_hi) = ranges
-    return store_lo < load_hi and load_lo < store_hi
+        ranges[index] = None if lo < 0 or hi > BUF_BYTES else (lo, hi)
+    return ranges
 
 
 def scan_program(
@@ -208,81 +198,84 @@ def scan_program(
     edges = bypass_edges(ir, mitigation)
     windows = branch_windows(ir)
     taint = analyze_taint(ir, edges, windows)
-    maybe = [False] * len(ir)
-    for window in windows:
-        for index in range(window.start, min(window.end, len(ir))):
-            maybe[index] = True
 
-    gadgets: list[StaticGadget] = []
-
-    def add(kind: str, node: int, arch: frozenset[int], spec: frozenset[int],
-            detail: str = "") -> None:
-        channel = "arch" if arch else "spec"
-        sources = arch or spec
-        if not sources:
-            return
-        span_nodes = sorted(set(sources) | {node} if node >= 0 else set(sources))
-        gadgets.append(
-            StaticGadget(
-                kind=kind,
-                node=node,
-                channel=channel,
-                sources=tuple(sorted(sources)),
-                span=ir.reprs(span_nodes),
-                preconditions=_preconditions_for(
-                    taint, sources, max(node, 0), maybe
-                ),
-                killed_by=_killed_by(taint, channel, sources),
-                detail=detail,
-            )
-        )
-
-    transmit_kind = {"load": "transmit-load", "store": "transmit-store",
-                     "flush": "transmit-flush"}
+    # Each finding as (kind, node, arch, spec, detail); built into
+    # StaticGadget objects only when the report's gadgets are read.
+    found: list[tuple] = []
+    nodes = ir.nodes
     for index, (arch, spec) in sorted(taint.address.items()):
-        kind = transmit_kind[ir[index].kind]
-        add(kind, index, arch, spec, detail=f"tainted address in {ir[index].op}")
+        if arch or spec:
+            node = nodes[index]
+            found.append((_TRANSMIT_KINDS[node.kind], index, arch, spec,
+                          f"tainted address in {node.op}"))
     for index, (arch, spec) in sorted(taint.condition.items()):
-        add("transmit-branch", index, arch, spec,
-            detail="secret-dependent branch condition")
+        if arch or spec:
+            found.append(("transmit-branch", index, arch, spec,
+                          "secret-dependent branch condition"))
+    ranges = _buffer_ranges(ir, taint)
     for edge in edges:
-        if _may_alias(ir, taint, edge.store, edge.load):
-            add(
-                "stale-value-probe",
-                edge.load,
-                frozenset(),
-                frozenset({edge.load}),
-                detail=(
-                    f"bypass of store@{edge.store} makes squash-on-"
-                    "mismatch depend on stale (secret) data"
-                ),
-            )
+        store, load = ranges[edge.store], ranges[edge.load]
+        if store is None or load is None or (store[0] < load[1] and load[0] < store[1]):
+            found.append((
+                "stale-value-probe", edge.load, EMPTY, frozenset((edge.load,)),
+                f"bypass of store@{edge.store} makes squash-on-"
+                "mismatch depend on stale (secret) data",
+            ))
     halt = len(ir) - 1
     for reg in tracked_regs:
         value = taint.regs.get(reg)
         if value is not None and value.arch:
-            add(
-                "architectural-secret-value",
-                halt,
-                value.arch,
-                value.spec,
-                detail=f"tracked register {reg} holds secret-derived data at halt",
-            )
+            found.append((
+                "architectural-secret-value", halt, value.arch, value.spec,
+                f"tracked register {reg} holds secret-derived data at halt",
+            ))
 
-    gadgets.sort(key=_gadget_order)
     metrics = registry()
     metrics.counter("scan.programs").inc()
-    metrics.counter("scan.gadgets").inc(len(gadgets))
+    metrics.counter("scan.gadgets").inc(len(found))
     metrics.counter("scan.edges").inc(len(edges))
     metrics.counter("scan.windows").inc(len(windows))
-    if not gadgets:
+    if not found:
         metrics.counter("scan.clean").inc()
     return ScanReport(
         name=name,
         mitigation=mitigation,
         instructions=len(ir),
-        gadgets=gadgets,
         edges=edges,
         windows=windows,
         sources=dict(taint.sources),
+        gadget_count=len(found),
+        _build_gadgets=partial(_build_gadgets, ir, taint, windows, found),
     )
+
+
+def _build_gadgets(
+    ir: IRProgram, taint: TaintResult, windows: list[BranchWindow], found: list[tuple]
+) -> list[StaticGadget]:
+    """StaticGadget objects for ``scan_program``'s findings, in node order."""
+    maybe = [False] * len(ir)
+    for window in windows:
+        for index in range(window.start, min(window.end, len(ir))):
+            maybe[index] = True
+    maybe_nodes = frozenset(index for index, flag in enumerate(maybe) if flag)
+    stale = frozenset(
+        index for index, kind in taint.sources.items() if kind == "stale-bypass"
+    )
+    bypass_lines = bypass_preconditions() + psf_preconditions()
+    gadgets = []
+    for kind, node, arch, spec, detail in found:
+        sources = arch or spec
+        channel = "arch" if arch else "spec"
+        preconditions = bypass_lines if not stale.isdisjoint(sources) else ()
+        if maybe[max(node, 0)] or not maybe_nodes.isdisjoint(sources):
+            preconditions += (_BRANCH_PRECONDITION,)
+        # Purely bypass-fed: both the chicken bit and the fence transform
+        # remove every edge, so the taint never arises.
+        killed_by = ("ssbd", "fence") if channel == "spec" and sources <= stale else ()
+        span_nodes = sources | {node} if node >= 0 else sources
+        gadgets.append(StaticGadget(
+            kind, node, channel, tuple(sorted(sources)), ir.reprs(span_nodes),
+            preconditions, killed_by, detail,
+        ))
+    gadgets.sort(key=_gadget_order)
+    return gadgets

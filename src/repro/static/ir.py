@@ -19,7 +19,7 @@ choice, mirroring the interpreter's lazy label lookup).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cpu.isa import (
     Alu,
@@ -49,9 +49,8 @@ __all__ = ["KINDS", "IRNode", "IRProgram", "lift"]
 KINDS = ("alu", "load", "store", "flush", "fence", "branch", "timer", "halt", "nop")
 
 
-@dataclass(frozen=True)
-class IRNode:
-    """Dataflow facts for one instruction."""
+class IRNode(NamedTuple):
+    """Dataflow facts for one instruction (a named tuple: cheap to build)."""
 
     index: int
     op: str                       # instruction class name
@@ -62,9 +61,14 @@ class IRNode:
     offset: int = 0              # constant address offset
     width: int = 0               # access width in bytes
     target: int | None = None    # branch target node index (Jz, resolved)
-    source: str = ""             # the instruction's dataclass repr
+    instruction: Instruction | None = None  # the lifted instruction
     alu_op: str = ""             # ALU operator string (Alu/AluImm)
     imm: int | None = None       # immediate operand (MovImm/AluImm/ImulImm)
+
+    @property
+    def source(self) -> str:
+        """The instruction's dataclass repr, made only when a span needs it."""
+        return repr(self.instruction)
 
     def __str__(self) -> str:
         return f"[{self.index:3d}] {self.source}"
@@ -75,10 +79,22 @@ class IRProgram:
 
     def __init__(self, nodes: list[IRNode]) -> None:
         self.nodes = nodes
-        self.loads = tuple(n.index for n in nodes if n.kind == "load")
-        self.stores = tuple(n.index for n in nodes if n.kind == "store")
-        self.branches = tuple(n.index for n in nodes if n.kind == "branch")
-        self.fences = tuple(n.index for n in nodes if n.kind == "fence")
+        by_kind: dict[str, list[int]] = {"load": [], "store": [], "branch": [], "fence": []}
+        #: Label name -> node index (the last one, for a duplicated name).
+        self.labels: dict[str, int] = {}
+        # Few nodes are not ALU ops: only those can be memory ops,
+        # branches, fences or labels.
+        for node in [node for node in nodes if node.kind != "alu"]:
+            indices = by_kind.get(node.kind)
+            if indices is not None:
+                indices.append(node.index)
+            elif isinstance(node.instruction, Label):
+                self.labels[node.instruction.name] = node.index
+        self.loads = tuple(by_kind["load"])
+        self.stores = tuple(by_kind["store"])
+        self.branches = tuple(by_kind["branch"])
+        self.fences = tuple(by_kind["fence"])
+        self._reprs: dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -91,57 +107,73 @@ class IRProgram:
 
     def reprs(self, indices: tuple[int, ...] | list[int]) -> tuple[str, ...]:
         """Instruction reprs for a set of node indices (finding spans)."""
-        return tuple(self.nodes[i].source for i in sorted(indices))
+        reprs = self._reprs
+        out = []
+        for index in sorted(indices):
+            text = reprs.get(index)
+            if text is None:
+                text = reprs[index] = self.nodes[index].source
+            out.append(text)
+        return tuple(out)
 
 
-def _lift_one(index: int, instruction: Instruction, labels: dict[str, int]) -> IRNode:
+#: Builds an ``IRNode`` from a full field tuple without the keyword
+#: handling of its constructor (one node per lifted instruction).
+_new = tuple.__new__
+
+
+def _lift_one(index: int, instruction: Instruction) -> IRNode:
+    # Fields: index, op, kind, defs, uses, base, offset, width, target,
+    # instruction, alu_op, imm.
     cls = type(instruction)
-    text = repr(instruction)
+    if cls is ImulImm:  # first: the address-delay chains of fuzz programs
+        return _new(IRNode, (index, "ImulImm", "alu", (instruction.dst,),
+                             (instruction.src,), None, 0, 0, None, instruction,
+                             "", instruction.imm))
     if cls is MovImm:
-        return IRNode(index, "MovImm", "alu", (instruction.dst,), (),
-                      source=text, imm=instruction.value)
+        return _new(IRNode, (index, "MovImm", "alu", (instruction.dst,), (),
+                             None, 0, 0, None, instruction, "", instruction.value))
     if cls is Mov:
-        return IRNode(index, "Mov", "alu", (instruction.dst,), (instruction.src,),
-                      source=text)
+        return _new(IRNode, (index, "Mov", "alu", (instruction.dst,),
+                             (instruction.src,), None, 0, 0, None, instruction,
+                             "", None))
     if cls is Alu:
-        return IRNode(index, "Alu", "alu", (instruction.dst,),
-                      (instruction.a, instruction.b), source=text,
-                      alu_op=instruction.op)
+        return _new(IRNode, (index, "Alu", "alu", (instruction.dst,),
+                             (instruction.a, instruction.b), None, 0, 0, None,
+                             instruction, instruction.op, None))
     if cls is AluImm:
-        return IRNode(index, "AluImm", "alu", (instruction.dst,),
-                      (instruction.src,), source=text,
-                      alu_op=instruction.op, imm=instruction.imm)
+        return _new(IRNode, (index, "AluImm", "alu", (instruction.dst,),
+                             (instruction.src,), None, 0, 0, None, instruction,
+                             instruction.op, instruction.imm))
     if cls is Imul:
-        return IRNode(index, "Imul", "alu", (instruction.dst,),
-                      (instruction.a, instruction.b), source=text)
-    if cls is ImulImm:
-        return IRNode(index, "ImulImm", "alu", (instruction.dst,),
-                      (instruction.src,), source=text, imm=instruction.imm)
+        return _new(IRNode, (index, "Imul", "alu", (instruction.dst,),
+                             (instruction.a, instruction.b), None, 0, 0, None,
+                             instruction, "", None))
     if cls is Load:
-        return IRNode(index, "Load", "load", (instruction.dst,),
-                      (instruction.base,), base=instruction.base,
-                      offset=instruction.offset, width=instruction.width,
-                      source=text)
+        return _new(IRNode, (index, "Load", "load", (instruction.dst,),
+                             (instruction.base,), instruction.base,
+                             instruction.offset, instruction.width, None,
+                             instruction, "", None))
     if cls is Store:
-        return IRNode(index, "Store", "store", (),
-                      (instruction.base, instruction.src), base=instruction.base,
-                      offset=instruction.offset, width=instruction.width,
-                      source=text)
+        return _new(IRNode, (index, "Store", "store", (),
+                             (instruction.base, instruction.src), instruction.base,
+                             instruction.offset, instruction.width, None,
+                             instruction, "", None))
     if cls is Clflush:
         return IRNode(index, "Clflush", "flush", (), (instruction.base,),
                       base=instruction.base, offset=instruction.offset,
-                      source=text)
+                      instruction=instruction)
     if cls is Mfence:
-        return IRNode(index, "Mfence", "fence", (), (), source=text)
+        return IRNode(index, "Mfence", "fence", (), (), instruction=instruction)
     if cls is Rdpru:
-        return IRNode(index, "Rdpru", "timer", (instruction.dst,), (), source=text)
-    if cls is Jz:
+        return IRNode(index, "Rdpru", "timer", (instruction.dst,), (), instruction=instruction)
+    if cls is Jz:  # ``lift`` resolves the target once every label is known
         return IRNode(index, "Jz", "branch", (), (instruction.cond,),
-                      target=labels.get(instruction.label), source=text)
+                      instruction=instruction)
     if cls.__name__ == "Halt":
-        return IRNode(index, "Halt", "halt", (), (), source=text)
+        return IRNode(index, "Halt", "halt", (), (), instruction=instruction)
     # Label, Pad, bare Instruction, anything unknown: no dataflow.
-    return IRNode(index, cls.__name__, "nop", (), (), source=text)
+    return IRNode(index, cls.__name__, "nop", (), (), instruction=instruction)
 
 
 def lift(program: Program | DecodedProgram | list[Instruction]) -> IRProgram:
@@ -152,11 +184,8 @@ def lift(program: Program | DecodedProgram | list[Instruction]) -> IRProgram:
         instructions = list(program.insts)
     else:
         instructions = list(program)
-    labels = {
-        instruction.name: index
-        for index, instruction in enumerate(instructions)
-        if isinstance(instruction, Label)
-    }
-    return IRProgram(
-        [_lift_one(i, ins, labels) for i, ins in enumerate(instructions)]
-    )
+    ir = IRProgram(list(map(_lift_one, range(len(instructions)), instructions)))
+    for index in ir.branches:
+        node = ir.nodes[index]
+        ir.nodes[index] = node._replace(target=ir.labels.get(node.instruction.label))
+    return ir

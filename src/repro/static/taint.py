@@ -43,6 +43,7 @@ The known imprecision sources are catalogued in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.fuzz.gen import BUF_BYTES
 from repro.static.ir import IRProgram
@@ -57,8 +58,7 @@ EMPTY: frozenset[int] = frozenset()
 _CONST, _BUF, _UNKNOWN = "const", "buf", "unknown"
 
 
-@dataclass(frozen=True)
-class RegVal:
+class RegVal(NamedTuple):
     """Abstract register value: a region/offset plus taint source sets."""
 
     region: str = _UNKNOWN          # "const" | "buf" | "unknown"
@@ -82,6 +82,10 @@ class RegVal:
 
 
 _UNKNOWN_VAL = RegVal()
+
+#: Builds a ``RegVal`` from a full field tuple without the keyword
+#: handling of its constructor (the alu path builds one per node).
+_new = tuple.__new__
 
 
 @dataclass
@@ -173,8 +177,8 @@ def analyze_taint(
         for index in range(window.start, min(window.end, len(ir))):
             maybe[index] = True
 
-    def read(name: str) -> RegVal:
-        return regs.get(name, _UNKNOWN_VAL)
+    read = regs.get
+    address, values, sources = result.address, result.values, result.sources
 
     def write(index: int, name: str, value: RegVal) -> None:
         if maybe[index] and name in regs:
@@ -182,70 +186,88 @@ def analyze_taint(
         else:
             regs[name] = value
 
-    for node in ir.nodes:
-        kind = node.kind
+    for (index, op, kind, defs, uses, base_reg, node_offset, width, _target,
+         _instruction, alu_op, imm) in ir.nodes:
         if kind == "alu":
-            uses = [read(name) for name in node.uses]
-            a = uses[0] if uses else _UNKNOWN_VAL
-            b = uses[1] if len(uses) > 1 else None
-            arch = frozenset().union(*(u.arch for u in uses)) if uses else EMPTY
-            spec = frozenset().union(*(u.spec for u in uses)) if uses else EMPTY
-            if node.op == "MovImm":
-                value = RegVal(region=_CONST, offset=node.imm or 0)
+            # Alu/Imul read two registers, Mov/AluImm/ImulImm one, MovImm none.
+            if op == "ImulImm" and imm == 1:
+                # ``x * 1``: the address-delay chains that make up most
+                # fuzz programs copy their input's value unchanged.
+                value = read(uses[0], _UNKNOWN_VAL)
+            elif op == "MovImm":
+                value = _new(RegVal, (_CONST, imm or 0, EMPTY, EMPTY))
             else:
-                region, offset = _alu_value(
-                    node.alu_op or "add", node.op, a, b, node.imm
-                )
-                value = RegVal(region=region, offset=offset, arch=arch, spec=spec)
-            for name in node.defs:
-                write(node.index, name, value)
+                a = read(uses[0], _UNKNOWN_VAL)
+                if len(uses) > 1:
+                    b = read(uses[1], _UNKNOWN_VAL)
+                    arch = a.arch | b.arch if b.arch else a.arch
+                    spec = a.spec | b.spec if b.spec else a.spec
+                    region, offset = _alu_value(alu_op or "add", op, a, b, imm)
+                    value = _new(RegVal, (region, offset, arch, spec))
+                elif op == "Mov":
+                    value = a
+                else:
+                    region, offset = _alu_value(alu_op or "add", op, a, None, imm)
+                    value = _new(RegVal, (region, offset, a.arch, a.spec))
+            name = defs[0]
+            if maybe[index] and name in regs:
+                value = regs[name].merged(value)
+            regs[name] = value
         elif kind == "timer":
-            for name in node.defs:
-                write(node.index, name, RegVal())
+            for name in defs:
+                write(index, name, RegVal())
         elif kind == "load":
-            base = read(node.base)
-            result.address[node.index] = (base.arch, base.spec)
-            result.values[node.index] = (base.region, base.offset)
-            arch: frozenset[int]
-            spec: frozenset[int]
-            lo = base.offset + node.offset
-            hi = lo + max(1, node.width)
-            if base.region == _BUF and 0 <= lo and hi <= buffer_bytes and all(
-                off in coverage for off in range(lo, hi)
-            ):
-                arch = frozenset().union(*(coverage[o][0] for o in range(lo, hi)))
-                spec = frozenset().union(*(coverage[o][1] for o in range(lo, hi)))
+            base = read(base_reg, _UNKNOWN_VAL)
+            address[index] = (base.arch, base.spec)
+            values[index] = (base.region, base.offset)
+            lo = base.offset + node_offset
+            hi = lo + max(1, width)
+            cells = (
+                list(map(coverage.get, range(lo, hi)))
+                if base.region == _BUF and 0 <= lo and hi <= buffer_bytes
+                else [None]
+            )
+            if None not in cells:
+                first = cells[0]
+                if cells.count(first) == len(cells):  # all written by one store
+                    arch, spec = first
+                else:
+                    arch = frozenset().union(*[cell[0] for cell in cells])
+                    spec = frozenset().union(*[cell[1] for cell in cells])
             elif base.region == _BUF:
-                result.sources[node.index] = "uncovered-load"
-                arch = spec = frozenset({node.index})
+                sources[index] = "uncovered-load"
+                arch = spec = frozenset((index,))
             else:
-                result.sources[node.index] = "foreign-load"
-                arch = spec = frozenset({node.index})
-            if node.index in bypassed:
+                sources[index] = "foreign-load"
+                arch = spec = frozenset((index,))
+            if index in bypassed:
                 # A bypass/PSF edge lets this load transiently observe
                 # stale memory — the initial (secret) fill — even when
                 # it is architecturally covered.
-                result.sources.setdefault(node.index, "stale-bypass")
-                spec = spec | frozenset({node.index})
+                sources.setdefault(index, "stale-bypass")
+                spec = spec | frozenset((index,))
             # The address itself being tainted also taints the value
             # (the load reads an attacker-unintended, secret-named slot).
-            arch = arch | base.arch
-            spec = spec | base.spec
-            write(node.index, node.defs[0], RegVal(arch=arch, spec=spec))
+            if base.arch:
+                arch = arch | base.arch
+            if base.spec:
+                spec = spec | base.spec
+            write(index, defs[0], _new(RegVal, (_UNKNOWN, 0, arch, spec)))
         elif kind == "store":
-            base = read(node.base)
-            data = read(node.uses[1])
-            result.address[node.index] = (base.arch, base.spec)
-            result.values[node.index] = (base.region, base.offset)
-            lo = base.offset + node.offset
-            hi = lo + max(1, node.width)
+            base = read(base_reg, _UNKNOWN_VAL)
+            data = read(uses[1], _UNKNOWN_VAL)
+            address[index] = (base.arch, base.spec)
+            values[index] = (base.region, base.offset)
+            lo = base.offset + node_offset
+            hi = lo + max(1, width)
             placeable = (
-                base.region == _BUF and not base.tainted
+                base.region == _BUF and not base.spec  # untainted address
                 and 0 <= lo and hi <= buffer_bytes
             )
-            if placeable and not maybe[node.index]:
+            if placeable and not maybe[index]:
+                cell = (data.arch, data.spec)
                 for off in range(lo, hi):
-                    coverage[off] = (data.arch, data.spec)
+                    coverage[off] = cell
             elif placeable:
                 # Maybe-executed store at a known offset: it cannot add
                 # coverage, but tainted data may land on covered bytes.
@@ -261,12 +283,12 @@ def analyze_taint(
                 for off, (arch_d, spec_d) in coverage.items():
                     coverage[off] = (arch_d | data.arch, spec_d | data.spec)
         elif kind == "flush":
-            base = read(node.base)
-            result.address[node.index] = (base.arch, base.spec)
-            result.values[node.index] = (base.region, base.offset)
+            base = read(base_reg, _UNKNOWN_VAL)
+            address[index] = (base.arch, base.spec)
+            values[index] = (base.region, base.offset)
         elif kind == "branch":
-            cond = read(node.uses[0])
-            result.condition[node.index] = (cond.arch, cond.spec)
+            cond = read(uses[0], _UNKNOWN_VAL)
+            result.condition[index] = (cond.arch, cond.spec)
         # fence / halt / nop: no dataflow.
 
     result.regs = dict(regs)

@@ -30,8 +30,10 @@ below observes directly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.core.counters import CounterState
 from repro.core.state_machine import (
@@ -89,8 +91,7 @@ def psf_preconditions() -> tuple[str, ...]:
     )
 
 
-@dataclass(frozen=True)
-class BypassEdge:
+class BypassEdge(NamedTuple):
     """One potential store→load transient interaction."""
 
     store: int                     # node index of the older store
@@ -133,31 +134,19 @@ def bypass_edges(ir: IRProgram, mitigation: str = "none") -> list[BypassEdge]:
     """
     if mitigation in ("ssbd", "fence"):
         return []
-    # fence_before[i] = index of the nearest Mfence at or before node i
-    # (-1 if none) — lets the store/load pairing run in O(pairs).
-    fence_before: list[int] = []
-    last = -1
-    for node in ir.nodes:
-        if node.kind == "fence":
-            last = node.index
-        fence_before.append(last)
-    stl = bypass_preconditions()
-    psf = psf_preconditions()
+    fences = ir.fences
+    kinds = ("stl-bypass", "psf-forward")
+    preconditions = bypass_preconditions() + psf_preconditions()
     edges: list[BypassEdge] = []
     for load in ir.loads:
-        barrier = fence_before[load]
+        # The nearest Mfence before the load (-1 if none).
+        position = bisect_left(fences, load)
+        barrier = fences[position - 1] if position else -1
         for store in ir.stores:
             if store >= load:
                 break
             if store > barrier:
-                edges.append(
-                    BypassEdge(
-                        store=store,
-                        load=load,
-                        kinds=("stl-bypass", "psf-forward"),
-                        preconditions=stl + psf,
-                    )
-                )
+                edges.append(BypassEdge(store, load, kinds, preconditions))
     return edges
 
 

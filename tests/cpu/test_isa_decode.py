@@ -3,8 +3,15 @@
 The pipeline interprets the decoded dense form, so a stale cache would
 silently execute the *old* program after an in-place edit or a base
 rebind.  These tests pin the invalidation rules: content compare on the
-instruction tuple plus the base IVA.
+instruction tuple plus the base IVA.  They also pin the single layout: a
+relocated copy (shifted IVAs, copied labels) must equal a fresh layout,
+and ``encode()`` must equal the per-instruction ``crc32`` bytes.
 """
+
+import random
+import zlib
+
+import pytest
 
 from repro.cpu.isa import (
     OP_ALUIMM,
@@ -18,9 +25,13 @@ from repro.cpu.isa import (
     Label,
     Load,
     MovImm,
+    Pad,
     Program,
+    clear_decode_cache,
 )
 from repro.cpu.machine import Machine
+from repro.errors import ConfigError
+from repro.fuzz.gen import GENERATORS
 
 
 def sample_program(base=0):
@@ -104,3 +115,118 @@ class TestDecodedForm:
         assert machine.run(process, program).regs["a"] == 1
         program.instructions[0] = MovImm("a", 2)
         assert machine.run(process, program).regs["a"] == 2
+
+
+def _layout_programs():
+    """Programs from every fuzz generator, plus code-slid Pad/Label ones."""
+    programs = [
+        Program(factory(random.Random(seed), 12), 0x1000, f"{name}-{seed}")
+        for name, factory in sorted(GENERATORS.items())
+        for seed in range(3)
+    ]
+    slid = [Pad()] * 5 + sample_program().instructions + [Pad(), Label("tail"), Halt()]
+    programs.append(Program(slid, 0x2003, "slid"))
+    programs.append(Program([Label("only")], 7, "label-only"))
+    programs.append(Program([], 0, "empty"))
+    return programs
+
+
+def _crc32_encode(program):
+    """The per-instruction ``crc32`` encoding ``encode()`` must reproduce."""
+    blob = bytearray()
+    for instruction in program.instructions:
+        digest = zlib.crc32(type(instruction).__name__.encode())
+        blob += bytes([(digest & 0xFF) or 0x90] * instruction.size)
+    return bytes(blob)
+
+
+def _decoded_fields(program):
+    dec = program.decoded()
+    return (dec.ops, dec.args, dec.names, dec.insts, dec.ivas, dec.n)
+
+
+@pytest.fixture
+def cold_decode_cache():
+    """Each decode below builds its own form instead of sharing one."""
+    clear_decode_cache()
+    yield
+    clear_decode_cache()
+
+
+class TestSingleLayout:
+    """``relocate`` shifts a layout; ``decoded`` lays out only after a change."""
+
+    @pytest.mark.parametrize("program", _layout_programs(), ids=lambda p: p.name)
+    @pytest.mark.parametrize("base", [0, 0x1000, 0x7FFF_F001])
+    def test_relocate_matches_a_fresh_layout(self, program, base, cold_decode_cache):
+        moved = program.relocate(base)
+        fresh = Program(list(program.instructions), base, program.name)
+        assert moved == fresh
+        assert moved._ivas == fresh._ivas
+        assert moved._labels == fresh._labels
+        assert moved.byte_size == fresh.byte_size
+        assert moved.encode() == fresh.encode()
+        moved_fields = _decoded_fields(moved)
+        clear_decode_cache()
+        assert moved_fields == _decoded_fields(fresh)
+
+    @pytest.mark.parametrize("program", _layout_programs(), ids=lambda p: p.name)
+    def test_encode_matches_per_instruction_crc32(self, program):
+        assert program.encode() == _crc32_encode(program)
+        assert len(program.encode()) == program.byte_size
+
+    def test_relocated_copy_is_independent_of_its_source(self):
+        program = sample_program(base=0)
+        moved = program.relocate(0x2000)
+        moved.instructions.append(Halt())
+        moved._labels["extra"] = 0
+        assert len(program) == 6
+        assert "extra" not in program._labels
+
+    def test_inplace_edit_after_relocate_relayouts(self, cold_decode_cache):
+        moved = sample_program(base=0).relocate(0x2000)
+        first = moved.decoded()
+        moved.instructions.insert(0, Pad())
+        second = moved.decoded()
+        assert second is not first
+        expected = Program(list(moved.instructions), 0x2000)
+        assert second.ivas == expected._ivas
+        assert moved._labels == expected._labels == {"done": 5}
+        assert second.args[3][1] == 5  # Jz target follows the label
+
+    def test_inplace_edit_before_first_decode_relayouts(self, cold_decode_cache):
+        moved = sample_program(base=0).relocate(0x2000)
+        moved.instructions[:0] = [Pad(), Pad()]
+        assert moved.decoded().ivas[:3] == [0x2000, 0x2001, 0x2002]
+        assert moved.iva(2) == 0x2002
+
+    def test_relocate_of_an_edited_source_uses_its_current_content(self):
+        program = sample_program(base=0)
+        program.instructions.insert(0, Pad())
+        program.base_iva = 0x100  # rebound without a re-layout
+        moved = program.relocate(0x3000)
+        assert moved == Program(list(program.instructions), 0x3000, program.name)
+
+    def test_unchanged_program_is_laid_out_once(self, monkeypatch, cold_decode_cache):
+        program = sample_program(base=0)
+        calls = []
+        original = Program._layout
+        monkeypatch.setattr(
+            Program, "_layout", lambda self: calls.append(1) or original(self)
+        )
+        moved = program.relocate(0x4000)
+        moved.decoded()
+        moved.decoded()
+        assert calls == []
+
+    def test_duplicate_label_raises(self):
+        with pytest.raises(ConfigError, match="duplicate label"):
+            Program([Label("x"), Halt(), Label("x")])
+
+    def test_duplicate_label_added_after_relocate_raises(self):
+        moved = sample_program(base=0).relocate(0x2000)
+        moved.instructions.append(Label("done"))
+        with pytest.raises(ConfigError, match="duplicate label"):
+            moved.decoded()
+        with pytest.raises(ConfigError, match="duplicate label"):
+            moved.relocate(0x3000)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu.machine import Machine
 from repro.errors import ConfigError
 from repro.mem.cache import Cache
 
@@ -117,3 +118,49 @@ class TestFlush:
         before = cache.stats.accesses
         cache.contains(0)
         assert cache.stats.accesses == before
+
+
+class TestLazySets:
+    """Sets are allocated on first touch; behaviour is that of eager sets."""
+
+    def test_fresh_cache_holds_no_sets(self):
+        assert len(small_cache()._lines) == 0
+
+    def test_fresh_machine_levels_hold_no_sets(self):
+        hierarchy = Machine(seed=1).core.hierarchy
+        for level in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+            assert len(level._lines) == 0, level.name
+
+    def test_probes_of_untouched_sets_allocate_nothing(self):
+        cache = small_cache()
+        assert not cache.contains(0x40)
+        assert cache.flush_line(0x80) is False
+        assert cache.flush_line(0x80) is False
+        assert len(cache._lines) == 0
+        assert cache.stats.flushes == 2
+
+    def test_access_allocates_only_its_set(self):
+        cache = small_cache(ways=2, sets=4)
+        cache.access(3 * 64)
+        assert list(cache._lines) == [3]
+
+    def test_overflowing_a_set_keeps_lru_order_and_counts(self):
+        cache = small_cache(ways=2, sets=4)
+        stride = 4 * 64  # every address below maps to set 0
+        for tag in (0, 1, 0, 2, 3, 2):
+            cache.access(tag * stride)
+        # 0,1 miss; 0 hits; 2 evicts 1; 3 evicts 0; 2 hits.
+        assert (cache.stats.hits, cache.stats.misses) == (2, 4)
+        assert cache.stats.evictions == 2
+        assert [cache.contains(t * stride) for t in range(4)] == [
+            False, False, True, True,
+        ]
+        assert list(cache._lines[0]) == [3 * stride // 64, 2 * stride // 64]  # LRU first
+        cache.access(64)  # set 1
+        assert cache.occupancy == 3
+        assert cache.flush_line(3 * stride) is True
+        assert cache.occupancy == 2
+        cache.flush_all()
+        assert cache.occupancy == 0
+        assert not cache.contains(2 * stride)
+        assert cache.access(2 * stride) is False
