@@ -305,6 +305,9 @@ class DecodedProgram:
 
     The decoded form carries no execution state; it is immutable in
     practice and safely shared by concurrent interpreter states (SMT).
+    Only ``ivas`` depends on the base address, so a relocated copy
+    (:meth:`Program.relocate`) shares its source's ``ops``, ``args``,
+    ``names`` and ``insts`` lists and brings its own ``ivas``.
     """
 
     ops: list[int]
@@ -448,6 +451,8 @@ class Program:
     #: out for; ``None`` makes ``__post_init__`` lay the program out.
     _layout_src: "tuple | None" = field(default=None, repr=False, compare=False)
     _layout_base: "int | None" = field(default=None, repr=False, compare=False)
+    #: Encoded byte size of ``_layout_src``.
+    _layout_size: int = field(default=0, repr=False, compare=False)
     _decoded: "DecodedProgram | None" = field(
         default=None, repr=False, compare=False
     )
@@ -476,26 +481,31 @@ class Program:
             cursor += instruction.size
         self._layout_src = src
         self._layout_base = self.base_iva
+        self._layout_size = cursor - self.base_iva
         self._decoded = None
 
     def relocate(self, base_iva: int) -> "Program":
         """A copy of this program laid out at a different base address.
 
-        Sizes do not depend on the address, so the copy's IVAs are this
-        layout's shifted by the base delta and its labels are the same.
+        Sizes, labels and opcodes do not depend on the address, so the
+        copy's IVAs are this layout's shifted by the base delta and it
+        shares this program's decoded body (everything but ``ivas``):
+        relocating decodes the source once, never the copy.
         """
-        src = tuple(self.instructions)
-        if self._layout_src != src:
-            self._layout()
-        delta = base_iva - self._layout_base
+        body = self.decoded()
+        ivas = [iva + base_iva - self._layout_base for iva in self._ivas]
         return Program(
-            list(src),
+            list(self._layout_src),
             base_iva,
             self.name,
-            _ivas=[iva + delta for iva in self._ivas],
+            _ivas=ivas,
             _labels=dict(self._labels),
             _layout_src=self._layout_src,
             _layout_base=base_iva,
+            _layout_size=self._layout_size,
+            _decoded=DecodedProgram(
+                body.ops, body.args, body.names, body.insts, ivas, body.n
+            ),
         )
 
     def decoded(self) -> DecodedProgram:
@@ -512,8 +522,12 @@ class Program:
         content is unchanged since its last layout (a fresh or relocated
         one) is not laid out again.
 
-        On an instance miss, the process-wide content-keyed LRU is
-        consulted before re-decoding, so a *fresh* Program around
+        A relocated copy starts out with its decoded form already set
+        (the source's body plus its own IVAs), so it never reaches the
+        LRU below; an in-place edit takes the copy through the re-layout
+        path like any other program, which never writes the shared
+        body.  Every other decode goes through the
+        process-wide content-keyed LRU, so a *fresh* Program built around
         already-seen content (the campaign pattern: every fuzz task
         rebuilds its program) shares the existing decoded form instead
         of paying decode again.  The LRU is bounded
@@ -574,7 +588,9 @@ class Program:
 
     @property
     def byte_size(self) -> int:
-        return sum(instruction.size for instruction in self.instructions)
+        if self._layout_src != tuple(self.instructions):
+            self._layout()
+        return self._layout_size
 
     def encode(self) -> bytes:
         """Synthetic machine code: a stable byte pattern per instruction.

@@ -5,7 +5,9 @@ silently execute the *old* program after an in-place edit or a base
 rebind.  These tests pin the invalidation rules: content compare on the
 instruction tuple plus the base IVA.  They also pin the single layout: a
 relocated copy (shifted IVAs, copied labels) must equal a fresh layout,
-and ``encode()`` must equal the per-instruction ``crc32`` bytes.
+and ``encode()`` must equal the per-instruction ``crc32`` bytes.  And
+they pin the shared body: relocated copies reuse their source's decoded
+lists, and an in-place edit of one copy never reaches the others.
 """
 
 import random
@@ -28,10 +30,12 @@ from repro.cpu.isa import (
     Pad,
     Program,
     clear_decode_cache,
+    decode_cache_info,
 )
 from repro.cpu.machine import Machine
 from repro.errors import ConfigError
 from repro.fuzz.gen import GENERATORS
+from repro.mem.physical import PAGE_SIZE
 
 
 def sample_program(base=0):
@@ -230,3 +234,95 @@ class TestSingleLayout:
             moved.decoded()
         with pytest.raises(ConfigError, match="duplicate label"):
             moved.relocate(0x3000)
+
+
+    @pytest.mark.parametrize("program", _layout_programs(), ids=lambda p: p.name)
+    def test_byte_size_follows_edits(self, program):
+        fresh = Program(list(program.instructions), program.base_iva, program.name)
+        moved = program.relocate(0x5000)
+        for edited in (fresh, moved):
+            assert edited.byte_size == program.byte_size
+            for extra in (Pad(), MovImm("z", 1)):  # sizes 1 and 4
+                edited.instructions.append(extra)
+                expected = sum(i.size for i in edited.instructions)
+                assert edited.byte_size == expected == len(edited.encode())
+        assert program.byte_size == sum(i.size for i in program.instructions)
+
+
+_BODY = ("ops", "args", "names", "insts")
+
+
+def _snapshot(dec):
+    return tuple(list(getattr(dec, name)) for name in _BODY + ("ivas",))
+
+
+class TestSharedBody:
+    """Relocated copies share one decoded body; edits stay private."""
+
+    @pytest.mark.parametrize("program", _layout_programs(), ids=lambda p: p.name)
+    def test_copies_share_the_source_body(self, program, cold_decode_cache):
+        copies = [program.relocate(base) for base in (0, 0x2000, 0x7FFF_F001)]
+        body = program.decoded()
+        for copy in copies:
+            dec = copy.decoded()
+            for name in _BODY:
+                assert getattr(dec, name) is getattr(body, name)
+            assert dec.n == body.n
+            assert dec.ivas == Program(list(program.instructions), copy.base_iva)._ivas
+            assert dec.ivas == copy._ivas
+        assert copies[1].decoded().ivas is not copies[2].decoded().ivas
+
+    def test_copies_skip_the_shared_lru(self, cold_decode_cache):
+        program = sample_program(base=0)
+        program.decoded()
+        before = decode_cache_info()
+        for base in range(0x1000, 0x1040):
+            program.relocate(base).decoded()
+        after = decode_cache_info()
+        assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+
+    def test_edit_of_one_copy_redecodes_that_copy_only(self, cold_decode_cache):
+        machine = Machine(seed=1)
+        process = machine.kernel.create_process("p")
+        source = machine.load_program(
+            process,
+            Program(
+                [
+                    MovImm("a", 7),
+                    AluImm("b", "a", 1, "add"),
+                    Jz("b", "done"),
+                    MovImm("c", 5),
+                    Label("done"),
+                    Halt(),
+                ],
+                name="shared",
+            ),
+            extra_pages=2,
+        )
+        sibling = machine.place_program(process, source, source.base_iva + PAGE_SIZE)
+        edited = machine.place_program(process, source, source.base_iva + 2 * PAGE_SIZE)
+        body = source.decoded()
+        snapshots = {
+            program.base_iva: _snapshot(program.decoded()) for program in (source, sibling)
+        }
+        regs = {
+            program.base_iva: machine.run(process, program).regs
+            for program in (source, sibling)
+        }
+        before = edited.decoded()
+
+        edited.instructions[0] = MovImm("a", 99)
+        after = edited.decoded()
+        assert after is not before
+        for name in _BODY:
+            assert getattr(after, name) is not getattr(body, name)
+        assert after.args[0] == ("a", 99)
+        assert machine.run(process, edited).regs["a"] == 99
+
+        for program in (source, sibling):
+            dec = program.decoded()
+            for name in _BODY:
+                assert getattr(dec, name) is getattr(body, name)
+            assert _snapshot(dec) == snapshots[program.base_iva]
+            assert machine.run(process, program).regs == regs[program.base_iva]
+        assert regs[source.base_iva]["a"] == 7
