@@ -42,7 +42,7 @@ from repro.fuzz.harness import MITIGATIONS
 from repro.interference import PRESET_ORDER
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_json
-from repro.runtime.cliutil import apply_engine, build_parser, require_range
+from repro.runtime.cliutil import build_parser, require_range
 
 __all__ = ["DEFAULT_SECRET", "main"]
 
@@ -137,7 +137,6 @@ def main(argv: list[str] | None = None) -> int:
     ver.add_argument("report", help="a 'leak --mitigation all --out' JSON file")
 
     args = parser.parse_args(argv)
-    apply_engine(args)
     try:
         if args.command == "channel":
             return _channel(args)

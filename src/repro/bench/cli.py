@@ -21,7 +21,7 @@ from pathlib import Path
 
 from ..errors import ReproError
 from ..runtime import exitcodes
-from ..runtime.cliutil import apply_engine, build_parser
+from ..runtime.cliutil import build_parser
 from .artifact import (
     DEFAULT_THRESHOLD,
     compare_artifacts,
@@ -74,7 +74,6 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="list the registered benchmarks")
 
     args = parser.parse_args(argv)
-    apply_engine(args)
     try:
         if args.command == "run":
             return _run(args)

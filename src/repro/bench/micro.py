@@ -6,11 +6,6 @@ One benchmark per layer that campaign throughput funnels through:
 ``pipeline.steps``          raw interpreter throughput (retired
                             instructions/s) on a speculation-heavy
                             fuzz-v1 program, machine built once
-``pipeline.steps_compiled`` the same workload under the closure-
-                            compiled engine; the ratio to
-                            ``pipeline.steps`` is the compilation
-                            speedup (>=1.4x, gated by ``make
-                            perf-gate``)
 ``pipeline.snapshot_restore`` squash machinery: a program whose branches
                             mispredict on every run, so each run opens,
                             journals and rolls back transient windows
@@ -91,11 +86,11 @@ class BenchSpec:
 # machine construction stays outside the timed region.
 # ----------------------------------------------------------------------
 
-def _fuzz_machine(seed: int, gen_seed: int, blocks: int, engine: str | None = None):
+def _fuzz_machine(seed: int, gen_seed: int, blocks: int):
     from repro.fuzz.gen import BUF_BYTES, BUF_PAGES, build_program
     from repro.fuzz.harness import DEFAULT_FILL
 
-    machine = Machine(seed=seed, engine=engine)
+    machine = Machine(seed=seed)
     process = machine.kernel.create_process("bench")
     buf = machine.kernel.map_anonymous(process, pages=BUF_PAGES)
     machine.kernel.write(process, buf, DEFAULT_FILL)
@@ -107,8 +102,8 @@ def _fuzz_machine(seed: int, gen_seed: int, blocks: int, engine: str | None = No
     return machine, process, program, buf, refill
 
 
-def _steps_workload(iters: int, engine: str | None) -> Callable[[], float]:
-    machine, process, program, buf, refill = _fuzz_machine(7, 5, 12, engine)
+def _pipeline_steps(iters: int) -> Callable[[], float]:
+    machine, process, program, buf, refill = _fuzz_machine(7, 5, 12)
     regs = {"buf": buf}
 
     def run() -> float:
@@ -121,20 +116,6 @@ def _steps_workload(iters: int, engine: str | None) -> Callable[[], float]:
         return retired
 
     return run
-
-
-def _pipeline_steps(iters: int) -> Callable[[], float]:
-    return _steps_workload(iters, "interpreter")
-
-
-def _pipeline_steps_compiled(iters: int) -> Callable[[], float]:
-    """The exact ``pipeline.steps`` workload under the compiled engine.
-
-    The two benchmarks execute bit-identically (same retired count, same
-    events — see ``tests/cpu/test_engine_equivalence.py``), so their
-    throughput ratio is the closure-compilation speedup with everything
-    else held fixed."""
-    return _steps_workload(iters, "compiled")
 
 
 def _snapshot_program() -> Program:
@@ -364,8 +345,6 @@ BENCHMARKS: dict[str, BenchSpec] = {
     for spec in (
         BenchSpec("pipeline.steps", "pipeline interpreter throughput",
                   "steps/s", _pipeline_steps, full_iters=360),
-        BenchSpec("pipeline.steps_compiled", "closure-compiled engine throughput",
-                  "steps/s", _pipeline_steps_compiled, full_iters=360),
         BenchSpec("pipeline.snapshot_restore", "transient-window squash machinery",
                   "restores/s", _pipeline_snapshot_restore, full_iters=360),
         BenchSpec("pipeline.decode_cold", "first-run cost (fresh Program per run)",
@@ -397,7 +376,7 @@ def profile_benchmark(name: str, *, quick: bool = False):
     Returns the :class:`cProfile.Profile` with the stats collected; the
     CLI dumps it to a ``.pstats`` file next to the benchmark artifact.
     The workload is built and warmed exactly like a timed run, so the
-    profile reflects steady state (decode/compile caches hot), not
+    profile reflects steady state (decode cache hot), not
     first-run setup.  Note that profiling overhead inflates call-heavy
     paths, so use the output for attribution, never for throughput.
     """

@@ -1,8 +1,6 @@
 """CPU model: micro-ISA, speculative pipeline, SMT threads, PMCs."""
 
-from repro.cpu.compiler import CompiledExecState, compile_program
 from repro.cpu.core import Core
-from repro.cpu.engine import ENGINES, default_engine, resolve_engine, set_default_engine
 from repro.cpu.isa import (
     Alu,
     AluImm,
@@ -31,14 +29,8 @@ __all__ = [
     "Alu",
     "AluImm",
     "Clflush",
-    "CompiledExecState",
     "Core",
-    "ENGINES",
     "FAULT_WINDOW",
-    "compile_program",
-    "default_engine",
-    "resolve_engine",
-    "set_default_engine",
     "Halt",
     "HardwareThread",
     "Imul",

@@ -1,85 +1,16 @@
-"""Execution-engine selection for the simulated pipeline.
+"""The name of the execution engine, for benchmark records.
 
-Two engines interpret the same :class:`~repro.cpu.isa.DecodedProgram`
-and must be bit-identical in every observable (registers, timing, PMC
-counts, predictor state, telemetry events):
-
-* ``interpreter`` — the reference opcode-dispatch interpreter
-  (:class:`repro.cpu.pipeline._ExecState`), the default;
-* ``compiled`` — the closure-compilation engine
-  (:mod:`repro.cpu.compiler`), which lowers each decoded instruction to
-  a pre-specialized closure (threaded-code style) for throughput.
-
-The engine is chosen per :class:`~repro.cpu.machine.Machine` (the
-``engine=`` constructor argument) and defaults to the process-wide
-setting resolved here.  The default can come from
-:func:`set_default_engine` (what the shared ``--engine`` CLI flag calls)
-or the ``REPRO_ENGINE`` environment variable — which is how the choice
-propagates into supervised pool workers: :func:`set_default_engine`
-writes the variable, and worker processes inherit the environment.
+The simulated pipeline has one execution path, the interpreter in
+:mod:`repro.cpu.pipeline`.  This function exists only because
+``perfbench/worker.py`` records an ``engine`` field in every result; a
+later change to the benchmark can drop that field and this module.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.errors import ConfigError
-
-__all__ = [
-    "ENGINES",
-    "ENGINE_ENV_VAR",
-    "default_engine",
-    "set_default_engine",
-    "resolve_engine",
-]
-
-#: The recognized engine names, reference interpreter first.
-ENGINES = ("interpreter", "compiled")
-
-#: Environment variable consulted when no explicit engine is set; also
-#: written by :func:`set_default_engine` so pool workers inherit it.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-_default: str | None = None
-
-
-def _validate(name: str, source: str) -> str:
-    if name not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {name!r} (from {source}); "
-            f"known: {', '.join(ENGINES)}"
-        )
-    return name
+__all__ = ["default_engine"]
 
 
 def default_engine() -> str:
-    """The process-wide engine: explicit setting, else env, else interpreter."""
-    if _default is not None:
-        return _default
-    env = os.environ.get(ENGINE_ENV_VAR, "").strip()
-    if env:
-        return _validate(env, f"${ENGINE_ENV_VAR}")
-    return ENGINES[0]
-
-
-def set_default_engine(name: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide default engine.
-
-    The choice is mirrored into ``REPRO_ENGINE`` so worker processes
-    spawned later — supervised pools, recorded-trace subprocesses —
-    resolve the same engine without any per-call plumbing.
-    """
-    global _default
-    if name is None:
-        _default = None
-        os.environ.pop(ENGINE_ENV_VAR, None)
-        return
-    _default = _validate(name, "set_default_engine")
-    os.environ[ENGINE_ENV_VAR] = _default
-
-
-def resolve_engine(explicit: str | None = None) -> str:
-    """An explicit engine name validated, or the process default."""
-    if explicit is not None:
-        return _validate(explicit, "engine argument")
-    return default_engine()
+    """Always ``"interpreter"``, the only engine."""
+    return "interpreter"

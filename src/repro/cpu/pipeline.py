@@ -254,37 +254,13 @@ class RunResult:
 
 
 class Pipeline:
-    """Executes programs of one process on one hardware thread.
+    """Executes programs of one process on one hardware thread."""
 
-    ``engine`` selects how instructions dispatch: ``"interpreter"`` (the
-    reference opcode-dispatch loop below) or ``"compiled"`` (the
-    closure-compilation engine, :mod:`repro.cpu.compiler`); ``None``
-    resolves the process-wide default (:mod:`repro.cpu.engine`).  The
-    two are bit-identical in every observable — the equivalence gate
-    and the engine property tests enforce it.
-    """
-
-    def __init__(
-        self,
-        core: Core,
-        thread: HardwareThread,
-        kernel: Kernel,
-        engine: str | None = None,
-    ) -> None:
-        from repro.cpu.engine import resolve_engine
-
+    def __init__(self, core: Core, thread: HardwareThread, kernel: Kernel) -> None:
         self.core = core
         self.thread = thread
         self.kernel = kernel
         self.lat = core.model.latency
-        self.engine = resolve_engine(engine)
-        if self.engine == "compiled":
-            # Imported lazily: the compiler module imports this one.
-            from repro.cpu.compiler import CompiledExecState
-
-            self._state_cls: type[_ExecState] = CompiledExecState
-        else:
-            self._state_cls = _ExecState
         #: 2-bit branch direction counters, keyed by branch IVA.
         self.branch_counters: dict[int, int] = {}
         #: Active tracer at construction time (None = telemetry off).  A
@@ -330,7 +306,7 @@ class Pipeline:
         (:meth:`repro.cpu.isa.Program.decoded`); ``regs`` is copied, so
         the caller's dict is never mutated.
         """
-        state = self._state_cls(self, process, program, dict(regs or {}))
+        state = _ExecState(self, process, program, dict(regs or {}))
         result = state.execute(max_steps)
         self.thread.advance(result.cycles)
         self._m_runs.inc()
@@ -356,7 +332,7 @@ class Pipeline:
         queue and rollback journal, so interleaved states never share
         mutable interpreter state.
         """
-        return self._state_cls(self, process, program, dict(regs or {}))
+        return _ExecState(self, process, program, dict(regs or {}))
 
     # Branch prediction: 2-bit saturating direction counters.
     def predict_branch(self, iva: int) -> bool:

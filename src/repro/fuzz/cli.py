@@ -55,7 +55,7 @@ from repro.fuzz.shrink import shrink_report
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_text
 from repro.runtime.chaos import CHAOS_ENV_VAR, ChaosPlan
-from repro.runtime.cliutil import apply_engine, build_parser
+from repro.runtime.cliutil import build_parser
 from repro.runtime.quarantine import quarantine
 from repro.runtime.supervisor import (
     DEFAULT_GRACE_S,
@@ -464,7 +464,7 @@ def run_fuzz_campaign(
             timeout=timeout,
             retries=retries,
             # Oracle tasks are small and homogeneous: batch them onto
-            # warm workers so decode/compile caches stay hot and the
+            # warm workers so the decode cache stays hot and the
             # per-task pipe round-trip amortizes away.
             batch="adaptive",
             chaos=chaos_plan,
@@ -680,7 +680,6 @@ def main(argv: list[str] | None = None) -> int:
              f"(default from ${CHAOS_ENV_VAR})",
     )
     args = parser.parse_args(argv)
-    apply_engine(args)
 
     mitigations = [part.strip() for part in args.mitigation.split(",") if part.strip()]
     corpus_dir = None if args.no_corpus else args.corpus_dir

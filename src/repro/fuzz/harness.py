@@ -131,7 +131,6 @@ def execute_program(
     fill: bytes = DEFAULT_FILL,
     use_pipeline: bool = True,
     max_steps: int = _MAX_STEPS,
-    engine: str | None = None,
 ) -> Execution:
     """Run a program on a fresh machine with one executor.
 
@@ -140,15 +139,12 @@ def execute_program(
     buffer is filled with ``fill``, and the selected mitigation is applied
     — ``ssbd`` at the machine level, ``fence`` as a program transform.
     Faults and step-limit overruns become statuses, not exceptions, so
-    comparing two executions always works.  ``engine`` picks the pipeline
-    execution engine for this run (default: the process-wide engine, see
-    :mod:`repro.cpu.engine`); both engines are bit-identical, so fuzz
-    verdicts never depend on the choice.
+    comparing two executions always works.
     """
     executor = "pipeline" if use_pipeline else "reference"
     registry().counter(f"fuzz.executions.{executor}").inc()
     mitigated = apply_mitigation(instructions, mitigation)
-    machine = Machine(model=resolve_model(model), seed=seed, engine=engine)
+    machine = Machine(model=resolve_model(model), seed=seed)
     if mitigation == "ssbd":
         machine.core.set_ssbd(True)
     process = machine.kernel.create_process("fuzz")

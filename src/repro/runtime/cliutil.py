@@ -3,12 +3,9 @@
 The six repro console scripts present one surface: the same
 ``--version`` string, the same ``--help`` epilog stating the exit-code
 contract (:mod:`repro.runtime.exitcodes`), the same formatter so the
-epilog's table survives argparse's re-wrapping, and the same
-``--engine`` flag selecting the execution engine every simulated
-machine in the process (and its pool workers) uses.  Build parsers
+epilog's table survives argparse's re-wrapping.  Build parsers
 through :func:`build_parser` instead of calling
-``argparse.ArgumentParser`` directly so the tools cannot drift, and
-call :func:`apply_engine` right after ``parse_args``.
+``argparse.ArgumentParser`` directly so the tools cannot drift.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from repro.runtime.exitcodes import (
 
 __all__ = [
     "EXIT_CODE_EPILOG",
-    "apply_engine",
     "build_parser",
     "require_range",
     "version_string",
@@ -94,28 +90,4 @@ def build_parser(
     parser.add_argument(
         "--version", action="version", version=version_string(prog)
     )
-    from repro.cpu.engine import ENGINES
-
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=None, metavar="NAME",
-        help="execution engine for simulated machines: "
-             f"{', '.join(ENGINES)} (default: interpreter, or "
-             "$REPRO_ENGINE when set)",
-    )
     return parser
-
-
-def apply_engine(args) -> None:
-    """Install ``--engine`` as the process-wide default, if given.
-
-    Mirrors the choice into ``$REPRO_ENGINE`` (see
-    :mod:`repro.cpu.engine`), which is how supervised pool workers and
-    recorded-trace subprocesses inherit it without per-call plumbing.
-    A CLI run without ``--engine`` changes nothing, so the environment
-    variable alone keeps working.
-    """
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        from repro.cpu.engine import set_default_engine
-
-        set_default_engine(engine)

@@ -29,7 +29,7 @@ nothing completed is ever lost to a later fault.
 Homogeneous small tasks (fuzz oracle runs, cross-validation cases) can
 be *batched*: ``batch=N`` (or ``batch="adaptive"``) dispatches up to N
 tasks per pipe message to one warm worker, which runs them back to back
-— keeping its decode/compile caches hot — and still reports each task
+— keeping its decode cache hot — and still reports each task
 individually, so retries, chaos injection, checkpoints and ``on_result``
 stay per-task.  A worker that dies or stalls mid-batch costs every
 outstanding task of that batch one attempt (they are re-dispatched,

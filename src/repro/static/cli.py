@@ -35,7 +35,7 @@ from repro.fuzz.gen import GENERATORS, build_program
 from repro.fuzz.harness import MITIGATIONS
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_text
-from repro.runtime.cliutil import apply_engine, build_parser
+from repro.runtime.cliutil import build_parser
 from repro.runtime.supervisor import DEFAULT_RETRIES, run_supervised
 from repro.static import crossval as crossval_mod
 from repro.static.advisor import advise
@@ -339,7 +339,6 @@ def main(argv: list[str] | None = None) -> int:
     cross.set_defaults(func=_cmd_crossval)
 
     args = parser.parse_args(argv)
-    apply_engine(args)
     try:
         return args.func(args)
     except (ConfigError, ArtifactError) as exc:

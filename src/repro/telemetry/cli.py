@@ -20,7 +20,7 @@ import json
 import sys
 
 from ..runtime import atomic_write_text, exitcodes
-from ..runtime.cliutil import apply_engine, build_parser
+from ..runtime.cliutil import build_parser
 from .diff import first_divergence
 from .export import summarize_events, to_chrome_trace, to_timeline
 from .record import record_many
@@ -79,7 +79,6 @@ def main(argv: list[str] | None = None) -> int:
                      help="output file (default stdout)")
 
     args = parser.parse_args(argv)
-    apply_engine(args)
     try:
         if args.command == "record":
             return _record(args)

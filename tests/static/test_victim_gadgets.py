@@ -3,8 +3,8 @@
 The attacks package carries the paper's Listing 2/3 victim functions
 (:mod:`repro.attacks.victim_gadgets`); if the scanner cannot flag the
 very gadget templates the exploitation layer leaks through, it is not
-scanning for the right thing.  Also pins the ``repro.attacks.gadgets``
-compatibility shim left behind by the module rename.
+scanning for the right thing.  Also pins the package-level re-export
+of the templates from :mod:`repro.attacks`.
 """
 
 from repro.attacks.victim_gadgets import (
@@ -47,15 +47,12 @@ class TestScannerFlagsTheAttackTemplates:
 
 
 class TestRenameShim:
-    def test_old_module_path_still_exports_everything(self):
-        from repro.attacks import gadgets as shim
-
-        assert shim.spectre_stl_gadget is spectre_stl_gadget
-        assert shim.spectre_ctl_gadget is spectre_ctl_gadget
-        assert shim.STL_REGS is STL_REGS
-        assert shim.CTL_REGS is CTL_REGS
+    """The victim-gadget templates are re-exported from the package."""
 
     def test_attacks_package_reexports_from_the_new_home(self):
         import repro.attacks as attacks
 
         assert attacks.spectre_stl_gadget is spectre_stl_gadget
+        assert attacks.spectre_ctl_gadget is spectre_ctl_gadget
+        assert attacks.STL_REGS is STL_REGS
+        assert attacks.CTL_REGS is CTL_REGS
