@@ -62,10 +62,13 @@ fuzz-smoke:
 ## (which retries must absorb — manifests byte-identical to baseline),
 ## then interrupted mid-campaign (must exit 3 with a checkpoint) and
 ## resumed (must converge to the baseline manifest, byte for byte).
+## A small fuzz campaign then does the same interrupt/resume round trip:
+## its resumed findings file must match a clean run's, byte for byte.
 ## Every run uses the same --jobs so the manifests stay comparable;
 ## --stable-meta zeroes wall times and worker pids for the same reason.
 CHAOS_NAMES = fig4 sec3-selection table1 fig2
 CHAOS_FLAGS = --jobs $(JOBS) --no-cache --stable-meta --timeout 10
+CHAOS_FUZZ_FLAGS = --budget 3 --seed 1 --no-corpus --jobs $(JOBS)
 chaos-smoke:
 	rm -rf $(RESULTS)-chaos
 	$(PY) -m repro.experiments.runner $(CHAOS_NAMES) $(CHAOS_FLAGS) --json $(RESULTS)-chaos/baseline
@@ -76,8 +79,13 @@ chaos-smoke:
 		--chaos "interrupt@fig4"; test $$? -eq 3
 	$(PY) -m repro.experiments.runner $(CHAOS_NAMES) $(CHAOS_FLAGS) --json $(RESULTS)-chaos/resumed --resume
 	cmp $(RESULTS)-chaos/baseline/campaign.json $(RESULTS)-chaos/resumed/campaign.json
+	$(PY) -m repro.fuzz.cli $(CHAOS_FUZZ_FLAGS) --out $(RESULTS)-chaos/fuzz-baseline.jsonl
+	$(PY) -m repro.fuzz.cli $(CHAOS_FUZZ_FLAGS) --out $(RESULTS)-chaos/fuzz-resumed.jsonl \
+		--chaos "interrupt@3"; test $$? -eq 3
+	$(PY) -m repro.fuzz.cli $(CHAOS_FUZZ_FLAGS) --out $(RESULTS)-chaos/fuzz-resumed.jsonl --resume
+	cmp $(RESULTS)-chaos/fuzz-baseline.jsonl $(RESULTS)-chaos/fuzz-resumed.jsonl
 	rm -rf $(RESULTS)-chaos
-	@echo "chaos-smoke: crash/hang/corruption absorbed; interrupt+resume converged"
+	@echo "chaos-smoke: crash/hang/corruption absorbed; interrupt+resume converged for both CLIs"
 
 ## Telemetry determinism + overhead gate (docs/observability.md): the
 ## same seeded targets must record byte-identical traces twice serially

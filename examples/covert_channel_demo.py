@@ -9,7 +9,7 @@ each bit as a stall-vs-bypass timing difference.
 Run:  python examples/covert_channel_demo.py
 """
 
-from repro.attacks.covert_channel import SsbpCovertChannel
+from repro.attacks.channels import StlPredictorChannel
 
 MESSAGE = b"hi"
 
@@ -26,7 +26,7 @@ def from_bits(bits: list[int]) -> bytes:
 
 
 def main() -> None:
-    channel = SsbpCovertChannel()
+    channel = StlPredictorChannel(width=1)
     sender_frames = {
         m.frame for m in channel.sender_process.address_space.pages().values()
     }
@@ -36,7 +36,7 @@ def main() -> None:
     print(f"shared physical frames between the processes: "
           f"{len(sender_frames & receiver_frames)}")
 
-    attempts = channel.handshake()
+    (attempts,) = channel.handshake()
     print(f"handshake: receiver collided with the sender's entry after "
           f"{attempts} slide attempts (bound: 4096)")
 

@@ -16,11 +16,11 @@ from repro.attacks.capacity import (
 )
 from repro.attacks.channels import (
     CacheLineChannel,
+    ChannelReport,
     NoisyChannel,
     StlPredictorChannel,
 )
 from repro.attacks.collision import CollisionResult, SsbpCollisionFinder
-from repro.attacks.covert_channel import ChannelReport, SsbpCovertChannel
 from repro.attacks.extraction import ExtractionReport, SecretExtraction, run_suite
 from repro.attacks.fingerprint import SsbpFingerprinter, collect_dataset
 from repro.attacks.flush_reload import FlushReloadChannel
@@ -62,7 +62,6 @@ __all__ = [
     "SpectreSTL",
     "SpectreSTLInPlace",
     "SsbpCollisionFinder",
-    "SsbpCovertChannel",
     "SsbpFingerprinter",
     "StlPredictorChannel",
     "build_channel",

@@ -5,10 +5,12 @@ a receiver process in lockstep (the half-duplex scheduling the covert
 channel of Section IV-D already uses — every hand-over is a context
 switch, which flushes PSFP; neither channel relies on it):
 
-* :class:`StlPredictorChannel` — ``width`` parallel SSBP bit lanes, the
-  multi-entry generalization of :class:`~repro.attacks.covert_channel.
-  SsbpCovertChannel`.  No shared memory, no cache lines: each lane is a
-  sender stld whose predictor entry the receiver found by code sliding.
+* :class:`StlPredictorChannel` — ``width`` parallel SSBP bit lanes.
+  No shared memory, no cache lines: each lane is a sender stld whose
+  predictor entry the receiver found by code sliding.  At ``width=1``
+  it is Vulnerability 4's covert channel: a set bit charges the entry's
+  C3 (the ``(7n, a)`` pattern), a clear bit charges a decoy, and the
+  receiver reads a stall as 1 and a bypass as 0.
 * :class:`CacheLineChannel` — a Flush+Reload transport over a shared
   mapping with ``2**width`` page-strided slots; one victim-free cache
   transmission per symbol.
@@ -21,6 +23,7 @@ attacker sees and gives the repetition code something to correct.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Protocol
 
 from repro.attacks.collision import SsbpCollisionFinder
@@ -35,6 +38,7 @@ from repro.osm.address_space import Perm
 from repro.telemetry.metrics import registry
 
 __all__ = [
+    "ChannelReport",
     "SymbolChannel",
     "StlPredictorChannel",
     "CacheLineChannel",
@@ -42,6 +46,30 @@ __all__ = [
 ]
 
 _STALL = (TimingClass.STALL_CACHE, TimingClass.STALL_FORWARD)
+
+
+@dataclass
+class ChannelReport:
+    """Outcome of one timed transmission."""
+
+    sent: list[int]
+    received: list[int]
+    cycles: int
+    clock_ghz: float
+
+    @property
+    def errors(self) -> int:
+        return sum(a != b for a, b in zip(self.sent, self.received))
+
+    @property
+    def error_rate(self) -> float:
+        return self.errors / len(self.sent) if self.sent else 0.0
+
+    @property
+    def bits_per_second(self) -> float:
+        """Symbols per simulated second; bits for a one-bit channel."""
+        seconds = self.cycles / (self.clock_ghz * 1e9)
+        return len(self.sent) / seconds if seconds else float("inf")
 
 
 class SymbolChannel(Protocol):
@@ -148,6 +176,18 @@ class StlPredictorChannel:
         self.symbols_transferred += len(symbols)
         registry().counter("attack.channel.symbols").inc(len(symbols))
         return received
+
+    def transmit(self, symbols: list[int]) -> ChannelReport:
+        """:meth:`transfer`, timed in simulated cycles."""
+        thread = self.machine.core.thread(0)
+        start = thread.cycles
+        received = self.transfer(symbols)
+        return ChannelReport(
+            sent=list(symbols),
+            received=received,
+            cycles=thread.cycles - start,
+            clock_ghz=self.machine.core.model.clock_ghz,
+        )
 
 
 class CacheLineChannel:

@@ -61,14 +61,16 @@ class ArtifactError(ReproError):
 
 
 class CampaignInterrupted(ReproError):
-    """A campaign was interrupted (SIGINT/SIGTERM) after checkpointing.
+    """A campaign was interrupted (SIGINT/SIGTERM) and its in-flight work drained.
 
-    Raised by :func:`repro.experiments.runner.run_campaign` and
-    :func:`repro.fuzz.cli.run_fuzz_campaign` once in-flight work has been
-    drained and the resumable checkpoint written.  ``partial`` carries
+    Raised by the campaign kernel,
+    :func:`repro.runtime.campaign.execute_campaign`, and so by every
+    campaign built on it, once in-flight work has been drained.
+    ``partial`` is the :class:`~repro.runtime.campaign.CampaignResult` of
     whatever completed before the interrupt; ``checkpoint`` is the state
-    the next ``--resume`` run continues from.  The CLIs translate this to
-    exit code 3 (:data:`repro.runtime.exitcodes.EXIT_INTERRUPTED`).
+    the next ``--resume`` run continues from (None for campaigns that
+    keep no checkpoint).  The CLIs translate this to exit code 3
+    (:data:`repro.runtime.exitcodes.EXIT_INTERRUPTED`).
     """
 
     def __init__(

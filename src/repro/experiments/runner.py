@@ -20,8 +20,8 @@ Rendered output is emitted in request order whatever the completion
 order, so ``--jobs 8`` and ``--jobs 1`` print byte-identical reports.
 See docs/experiments.md for the full catalog.
 
-Execution is resilient (see docs/resilience.md): workers run under the
-supervised pool in :mod:`repro.runtime.supervisor` — per-task
+Execution is resilient (see docs/resilience.md): the campaign runs on
+the shared kernel in :mod:`repro.runtime.campaign` — per-task
 ``--timeout`` deadlines, ``--retries`` with deterministic backoff, crash
 isolation — the manifest is checkpointed atomically after every
 completion so ``--resume`` continues an interrupted campaign, and tasks
@@ -77,22 +77,17 @@ from repro.experiments.artifacts import (
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache, cache_key
 from repro.runtime import exitcodes
-from repro.runtime.chaos import CHAOS_ENV_VAR, ChaosPlan
+from repro.runtime.campaign import CampaignResult, execute_campaign
+from repro.runtime.chaos import CHAOS_ENV_VAR
 from repro.runtime.cliutil import build_parser
 from repro.runtime.quarantine import quarantine
-from repro.runtime.supervisor import (
-    DEFAULT_GRACE_S,
-    DEFAULT_RETRIES,
-    TaskFailure,
-    run_supervised,
-)
+from repro.runtime.supervisor import DEFAULT_GRACE_S, DEFAULT_RETRIES, TaskFailure
 
 __all__ = [
     "EXPERIMENTS",
     "QUICK_SET",
     "COST_TIERS",
     "ExperimentSpec",
-    "CampaignResult",
     "run_experiment",
     "run_campaign",
     "main",
@@ -236,33 +231,6 @@ def _execute_task(payload: dict) -> dict[str, Any]:
     )
 
 
-class CampaignResult(list):
-    """Completed results in request order, plus campaign telemetry.
-
-    A list of :class:`ExperimentResult` (failed/unfinished names are
-    absent — ``completed_names`` is the parallel name list), with the
-    structured failures, quarantine count and resume statistics the
-    manifest also records.
-    """
-
-    def __init__(
-        self,
-        results: Sequence[ExperimentResult] = (),
-        *,
-        names: Sequence[str] = (),
-        failures: Sequence[TaskFailure] = (),
-        quarantined: int = 0,
-        resumed: int = 0,
-        retried: int = 0,
-    ) -> None:
-        super().__init__(results)
-        self.completed_names = list(names)
-        self.failures = list(failures)
-        self.quarantined = quarantined
-        self.resumed = resumed
-        self.retried = retried
-
-
 def _recover_checkpoint(
     json_dir: str | Path,
     names: Sequence[str],
@@ -334,15 +302,18 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a set of experiments under the supervised campaign runtime.
 
-    Returns completed results in ``names`` order regardless of completion
-    order; tasks that exhaust ``retries`` become :class:`TaskFailure`
-    entries on the returned :class:`CampaignResult` (and in the manifest)
-    instead of aborting the campaign.  Unknown names raise
+    Runs on the campaign kernel (:mod:`repro.runtime.campaign`) and
+    returns its :class:`~repro.runtime.campaign.CampaignResult`: completed
+    results in ``names`` order regardless of completion order, with
+    ``task_ids`` naming them; tasks that exhaust ``retries`` become
+    :class:`TaskFailure` entries on it (and in the manifest) instead of
+    aborting the campaign.  Unknown names raise
     :class:`UnknownExperimentError` before any work is scheduled.
 
     With ``json_dir`` the manifest is rewritten atomically after every
     completion, so the campaign is checkpointed at all times; ``resume``
-    skips entries the checkpoint already completed.  On SIGINT/SIGTERM
+    skips entries the checkpoint already completed (``resume`` without
+    ``json_dir`` is a :class:`ConfigError`).  On SIGINT/SIGTERM
     in-flight tasks are drained for ``grace_s`` seconds, the checkpoint
     is written, and :class:`repro.errors.CampaignInterrupted` is raised.
     ``chaos`` arms the test-only fault injector
@@ -355,37 +326,35 @@ def run_campaign(
     """
     for name in names:
         _spec(name)
-    if resume and json_dir is None:
-        raise ConfigError("--resume requires --json DIR (the checkpoint lives there)")
     if metrics:
         use_cache = False
     say = progress or (lambda line: None)
     cache = ResultCache(cache_dir) if use_cache else None
     keys = {name: cache_key(name, effective_seed(name, seed)) for name in names}
 
-    completed: dict[str, ExperimentResult] = {}
-    failures: list[TaskFailure] = []
+    recovered: dict[str, ExperimentResult] = {}
     quarantined = 0
-    resumed = 0
-
-    if resume:
+    if resume and json_dir is not None:
         recovered, quarantined = _recover_checkpoint(json_dir, names, seed, keys)
-        for name, result in recovered.items():
-            completed[name] = result
+        for name in recovered:
             say(f"{name}: resumed from checkpoint")
-        resumed = len(recovered)
-
+    cached: dict[str, ExperimentResult] = {}
     for name in names:
-        if name in completed or cache is None:
+        if name in recovered or cache is None:
             continue
-        cached = cache.get(keys[name])
-        if cached is not None:
-            completed[name] = cached
+        hit = cache.get(keys[name])
+        if hit is not None:
+            cached[name] = hit
             say(f"{name}: cache hit ({keys[name][:12]})")
+    if cache is not None:
+        quarantined += cache.quarantined
+    completed = {**recovered, **cached}
 
-    def _checkpoint(interrupted: bool = False) -> Path | None:
+    def write_checkpoint(
+        failures: Sequence[TaskFailure] = (), interrupted: bool = False
+    ) -> None:
         if json_dir is None:
-            return None
+            return
         entries: list[dict[str, Any]] = []
         for name in names:
             if name in completed:
@@ -423,7 +392,7 @@ def run_campaign(
                     if result.telemetry is not None
                 ]
             )
-        return write_manifest(
+        write_manifest(
             json_dir,
             entries,
             jobs=jobs,
@@ -431,7 +400,7 @@ def run_campaign(
             version=_version(),
             failures=[f.to_dict() for f in failures],
             interrupted=interrupted,
-            quarantined=quarantined + (cache.quarantined if cache else 0),
+            quarantined=quarantined,
             **extra,
         )
 
@@ -439,7 +408,7 @@ def run_campaign(
         for name in names:
             if name in completed:
                 write_artifact(completed[name], json_dir, name)
-        _checkpoint()
+        write_checkpoint()
 
     def on_result(name: str, result: ExperimentResult) -> None:
         completed[name] = result
@@ -447,63 +416,35 @@ def run_campaign(
             cache.put(keys[name], result)
         if json_dir is not None:
             write_artifact(result, json_dir, name)
-            _checkpoint()
-        say(f"{name}: completed in {result.wall_time_s:.1f}s [{result.worker}]")
+            write_checkpoint()
 
-    pending = [name for name in names if name not in completed]
-    interrupted = False
-    chaos_plan = ChaosPlan.from_spec(chaos) if chaos else None
+    payload = {"seed": seed, "stable_meta": stable_meta, "metrics": metrics}
     try:
-        if pending:
-            report = run_supervised(
-                [
-                    (
-                        name,
-                        {
-                            "name": name,
-                            "seed": seed,
-                            "stable_meta": stable_meta,
-                            "metrics": metrics,
-                        },
-                    )
-                    for name in pending
-                ],
-                _execute_task,
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
-                batch=1,  # experiments are heavy and heterogeneous
-                chaos=chaos_plan,
-                validate=ExperimentResult.from_dict,
-                on_result=on_result,
-                progress=say,
-                grace_s=grace_s,
-            )
-            failures.extend(report.failures)
-            interrupted = report.interrupted
-            retried = report.retried
-        else:
-            retried = 0
-    finally:
-        if chaos_plan is not None:
-            chaos_plan.cleanup()
-
-    checkpoint_path = _checkpoint(interrupted=interrupted)
-    campaign = CampaignResult(
-        [completed[name] for name in names if name in completed],
-        names=[name for name in names if name in completed],
-        failures=failures,
-        quarantined=quarantined + (cache.quarantined if cache else 0),
-        resumed=resumed,
-        retried=retried,
-    )
-    if interrupted:
-        raise CampaignInterrupted(
-            f"campaign interrupted with {len(campaign)}/{len(names)} "
-            f"experiment(s) checkpointed",
-            partial=campaign,
-            checkpoint=checkpoint_path,
+        campaign = execute_campaign(
+            [(name, {"name": name, **payload}) for name in names],
+            _execute_task,
+            validate=ExperimentResult.from_dict,
+            recovered=recovered,
+            cached=cached,
+            quarantined=quarantined,
+            on_result=on_result,
+            describe=lambda name, result: (
+                f"{name}: completed in {result.wall_time_s:.1f}s [{result.worker}]"
+            ),
+            progress=say,
+            checkpoint=None if json_dir is None else Path(json_dir) / MANIFEST_NAME,
+            resume=resume,
+            jobs=jobs,
+            timeout=timeout,
+            retries=retries,
+            batch=1,  # experiments are heavy and heterogeneous
+            chaos=chaos,
+            grace_s=grace_s,
         )
+    except CampaignInterrupted as exc:
+        write_checkpoint(exc.partial.failures, interrupted=True)
+        raise
+    write_checkpoint(campaign.failures)
     return campaign
 
 
@@ -603,8 +544,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         names = _select(args)
-        if args.resume and args.json is None:
-            raise _UsageError("--resume requires --json DIR")
         started = time.perf_counter()
         results = run_campaign(
             names,
@@ -633,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return exitcodes.EXIT_INTERRUPTED
 
-    for name, result in zip(results.completed_names, results):
+    for name, result in zip(results.task_ids, results):
         print(result.render())
         suffix = " (cached)" if result.cache_hit else ""
         print(f"[{name} completed in {result.wall_time_s:.1f}s{suffix}]")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from repro.attacks.address_leak import AddressMappingLeak
-from repro.attacks.covert_channel import SsbpCovertChannel
+from repro.attacks.channels import StlPredictorChannel
 from repro.attacks.spectre_stl import SpectreSTL
 from repro.attacks.spectre_stl_inplace import SpectreSTLInPlace
 from repro.cpu.machine import Machine
@@ -26,8 +26,8 @@ __all__ = ["run_covert_channel", "run_stl_inplace", "run_address_leak"]
 
 
 def run_covert_channel(bits: int = 64, seed: int = 42) -> ExperimentResult:
-    channel = SsbpCovertChannel()
-    attempts = channel.handshake()
+    channel = StlPredictorChannel(width=1)
+    (attempts,) = channel.handshake()
     payload = [random.Random(seed).randrange(2) for _ in range(bits)]
     report = channel.transmit(payload)
     result = ExperimentResult(

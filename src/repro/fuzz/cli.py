@@ -54,15 +54,11 @@ from repro.fuzz.findings import Finding, write_findings
 from repro.fuzz.shrink import shrink_report
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_text
-from repro.runtime.chaos import CHAOS_ENV_VAR, ChaosPlan
+from repro.runtime.campaign import CampaignResult, execute_campaign
+from repro.runtime.chaos import CHAOS_ENV_VAR
 from repro.runtime.cliutil import build_parser
 from repro.runtime.quarantine import quarantine
-from repro.runtime.supervisor import (
-    DEFAULT_GRACE_S,
-    DEFAULT_RETRIES,
-    TaskFailure,
-    run_supervised,
-)
+from repro.runtime.supervisor import DEFAULT_GRACE_S, DEFAULT_RETRIES
 from repro.telemetry import recording
 from repro.telemetry.metrics import merge_snapshots, registry
 from repro.telemetry.sinks import JsonlSink, trace_header
@@ -71,7 +67,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_MITIGATIONS",
     "CHECKPOINT_SCHEMA",
-    "FuzzCampaignResult",
     "checkpoint_path",
     "derive_case",
     "build_tasks",
@@ -246,29 +241,6 @@ def _validate_findings(found: object) -> list[dict]:
     return found
 
 
-class FuzzCampaignResult(list):
-    """Findings in stable task order, plus campaign telemetry."""
-
-    def __init__(
-        self,
-        findings: Sequence[Finding] = (),
-        *,
-        failures: Sequence[TaskFailure] = (),
-        quarantined: int = 0,
-        resumed: int = 0,
-        retried: int = 0,
-        prefilter_scanned: int = 0,
-        prefilter_skipped: int = 0,
-    ) -> None:
-        super().__init__(findings)
-        self.failures = list(failures)
-        self.quarantined = quarantined
-        self.resumed = resumed
-        self.retried = retried
-        self.prefilter_scanned = prefilter_scanned
-        self.prefilter_skipped = prefilter_skipped
-
-
 def prefilter_tasks(tasks: list[dict]) -> tuple[list[dict], int, int]:
     """Drop generated oracle tasks the static scanner proves gadget-free.
 
@@ -378,21 +350,25 @@ def run_fuzz_campaign(
     chaos: str | None = None,
     grace_s: float = DEFAULT_GRACE_S,
     static_prefilter: bool = False,
-) -> FuzzCampaignResult:
+) -> CampaignResult:
     """Run one campaign; returns findings in stable task order.
 
     ``corpus_dir=None`` disables the on-disk corpus (built-in regression
     entries are still replayed); otherwise new architectural findings are
     persisted there for future campaigns to replay first.
 
-    Execution is supervised (:mod:`repro.runtime.supervisor`): hung
-    workers are killed at ``timeout`` and retried, crashes cost one
+    Execution runs on the campaign kernel (:mod:`repro.runtime.campaign`):
+    hung workers are killed at ``timeout`` and retried, crashes cost one
     attempt, and tasks that exhaust ``retries`` become failure entries on
-    the returned :class:`FuzzCampaignResult`.  With ``checkpoint`` set,
-    completed tasks are persisted atomically as they land; ``resume``
-    replays them (the checkpoint is deleted on clean completion).  On
-    SIGINT/SIGTERM the in-flight tasks are drained, the checkpoint is
-    written, and :class:`repro.errors.CampaignInterrupted` is raised.
+    the returned :class:`~repro.runtime.campaign.CampaignResult`, which
+    holds one :class:`Finding` per entry and also reports
+    ``prefilter_scanned``/``prefilter_skipped``.  With ``checkpoint``
+    set, completed tasks are persisted atomically as they land;
+    ``resume`` replays them (the checkpoint is deleted on clean
+    completion) and without ``checkpoint`` is a :class:`ConfigError`.
+    On SIGINT/SIGTERM the in-flight tasks are drained and
+    :class:`repro.errors.CampaignInterrupted` is raised, with every
+    completed task in the checkpoint.
     """
     for mitigation in mitigations:
         if mitigation not in harness.MITIGATIONS:
@@ -418,89 +394,67 @@ def run_fuzz_campaign(
     fingerprint = _campaign_fingerprint(tasks)
     checkpoint = Path(checkpoint) if checkpoint is not None else None
 
-    results: dict[int, list[dict]] = {}
-    quarantined = 0
-    resumed = 0
+    recovered: dict[int, list[dict]] = {}
+    quarantined = corp.quarantined if corp is not None else 0
     if resume and checkpoint is not None:
-        results, quarantined = _recover_fuzz_checkpoint(checkpoint, fingerprint, say)
-        resumed = len(results)
-        if resumed:
-            say(f"resumed {resumed} completed task(s) from {checkpoint}")
+        recovered, lost = _recover_fuzz_checkpoint(checkpoint, fingerprint, say)
+        quarantined += lost
+        if recovered:
+            say(f"resumed {len(recovered)} completed task(s) from {checkpoint}")
 
     # Each completed task's entry is serialized once; a rewrite joins them.
     fragments = {
         task_id: _checkpoint_fragment(task_id, found)
-        for task_id, found in results.items()
+        for task_id, found in recovered.items()
     }
 
-    def write_checkpoint() -> None:
-        if checkpoint is not None:
-            body = ", ".join(fragments[task_id] for task_id in sorted(fragments))
-            atomic_write_text(
-                checkpoint,
-                f'{{"completed": {{{body}}}, '
-                f'"fingerprint": {json.dumps(fingerprint)}, '
-                f'"schema": {CHECKPOINT_SCHEMA}}}\n',
-            )
-
-    def on_result(task_id: int, found: list[dict]) -> None:
-        results[task_id] = found
+    def write_checkpoint(task_id: int, found: list[dict]) -> None:
+        if checkpoint is None:
+            return
         fragments[task_id] = _checkpoint_fragment(task_id, found)
-        write_checkpoint()
+        body = ", ".join(fragments[task_id] for task_id in sorted(fragments))
+        atomic_write_text(
+            checkpoint,
+            f'{{"completed": {{{body}}}, '
+            f'"fingerprint": {json.dumps(fingerprint)}, '
+            f'"schema": {CHECKPOINT_SCHEMA}}}\n',
+        )
+
+    def describe(task_id: int, found: list[dict]) -> str:
         task = by_id[task_id]
         verdict = f"{len(found)} finding(s)" if found else "clean"
-        say(
-            f"task {task['task']:3d} {task['check']:<12s} "
+        return (
+            f"task {task_id:3d} {task['check']:<12s} "
             f"{task['generator']} seed={task['seed']}: {verdict}"
         )
 
-    pending = [task for task in tasks if task["task"] not in results]
-    chaos_plan = ChaosPlan.from_spec(chaos) if chaos else None
-    try:
-        report = run_supervised(
-            [(task["task"], task) for task in pending],
-            _run_task,
-            jobs=jobs,
-            timeout=timeout,
-            retries=retries,
-            # Oracle tasks are small and homogeneous: batch them onto
-            # warm workers so the decode cache stays hot and the
-            # per-task pipe round-trip amortizes away.
-            batch="adaptive",
-            chaos=chaos_plan,
-            validate=_validate_findings,
-            on_result=on_result,
-            progress=say,
-            grace_s=grace_s,
-        )
-    finally:
-        if chaos_plan is not None:
-            chaos_plan.cleanup()
-
-    findings = [
-        Finding.from_dict(data)
-        for task_id in sorted(results)
-        for data in results[task_id]
-    ]
-    campaign = FuzzCampaignResult(
-        findings,
-        failures=report.failures,
-        quarantined=quarantined + (corp.quarantined if corp is not None else 0),
-        resumed=resumed,
-        retried=report.retried,
-        prefilter_scanned=scanned,
-        prefilter_skipped=skipped,
+    campaign = execute_campaign(
+        [(task["task"], task) for task in tasks],
+        _run_task,
+        validate=_validate_findings,
+        recovered=recovered,
+        quarantined=quarantined,
+        on_result=write_checkpoint,
+        describe=describe,
+        progress=say,
+        checkpoint=checkpoint,
+        resume=resume,
+        jobs=jobs,
+        timeout=timeout,
+        retries=retries,
+        # Oracle tasks are small and homogeneous: batch them onto warm
+        # workers so the decode cache stays hot and the per-task pipe
+        # round-trip amortizes away.
+        batch="adaptive",
+        chaos=chaos,
+        grace_s=grace_s,
     )
-    if report.interrupted:
-        write_checkpoint()
-        raise CampaignInterrupted(
-            f"fuzz campaign interrupted with {len(results)}/{len(tasks)} "
-            f"task(s) checkpointed",
-            partial=campaign,
-            checkpoint=checkpoint,
-        )
+    # One entry per finding rather than per task from here on.
+    campaign[:] = [Finding.from_dict(data) for found in campaign for data in found]
+    campaign.prefilter_scanned = scanned
+    campaign.prefilter_skipped = skipped
     if corp is not None:
-        for finding in findings:
+        for finding in campaign:
             if finding.kind != "leak" and finding.origin == "generated":
                 corp.add(
                     CorpusEntry(

@@ -1,11 +1,15 @@
-"""Resilient campaign runtime shared by ``repro-experiments`` and ``repro-fuzz``.
+"""Resilient campaign runtime: the one kernel every batch job runs on.
 
-Both campaign engines are long-running batch jobs whose value depends on
-surviving partial failure: a hung driver must not stall the pool, a
+``repro-experiments``, ``repro-fuzz``, ``repro-scan`` and
+``repro-trace record`` are long-running batch jobs whose value depends
+on surviving partial failure: a hung driver must not stall the pool, a
 crashed worker must not abort the campaign, and a SIGKILL mid-run must
 never leave truncated JSON behind.  This package owns that discipline so
-the two CLIs cannot drift apart:
+the CLIs cannot drift apart:
 
+* :mod:`repro.runtime.campaign` — the campaign kernel: skip done tasks,
+  run the rest supervised, return ordered results and failures, raise
+  :class:`repro.errors.CampaignInterrupted` on an interrupt;
 * :mod:`repro.runtime.atomic` — the one atomic-persistence helper
   (tmp file + fsync + ``os.replace``) every JSON/JSONL writer uses;
 * :mod:`repro.runtime.supervisor` — a supervised process pool with
@@ -15,13 +19,14 @@ the two CLIs cannot drift apart:
   with a reason file and counted, never silently deleted;
 * :mod:`repro.runtime.chaos` — the test-only fault injector that proves
   all of the above actually works (``--chaos`` / ``REPRO_RUNTIME_CHAOS``);
-* :mod:`repro.runtime.exitcodes` — the exit-code contract both CLIs
+* :mod:`repro.runtime.exitcodes` — the exit-code contract the CLIs
   share (0 ok, 1 findings/failed tasks, 2 usage, 3 interrupted).
 
 See docs/resilience.md for the full semantics.
 """
 
 from repro.runtime.atomic import atomic_write_json, atomic_write_text
+from repro.runtime.campaign import CampaignResult, execute_campaign
 from repro.runtime.chaos import ChaosPlan
 from repro.runtime.exitcodes import (
     EXIT_FAILURES,
@@ -42,6 +47,8 @@ from repro.runtime.supervisor import (
 __all__ = [
     "atomic_write_json",
     "atomic_write_text",
+    "CampaignResult",
+    "execute_campaign",
     "ChaosPlan",
     "EXIT_OK",
     "EXIT_FAILURES",

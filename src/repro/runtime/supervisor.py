@@ -22,9 +22,10 @@ supervises:
   i.e. the checkpoint), then terminate workers and return a report with
   ``interrupted=True``.
 
-Results stream to the caller through ``on_result`` as they land — that
-callback is where the campaign engines append to their checkpoints, so
-nothing completed is ever lost to a later fault.
+Results stream to the caller through ``on_result`` as they land — the
+campaign kernel (:mod:`repro.runtime.campaign`) passes them on to each
+campaign's checkpoint, so nothing completed is ever lost to a later
+fault.
 
 Homogeneous small tasks (fuzz oracle runs, cross-validation cases) can
 be *batched*: ``batch=N`` (or ``batch="adaptive"``) dispatches up to N
@@ -49,7 +50,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import CampaignInterrupted, ConfigError
 from repro.runtime.chaos import ChaosPlan
 from repro.telemetry.metrics import registry
 
@@ -328,7 +329,9 @@ def _run_inline(items, worker, retries, schedule, validate, on_result, say, repo
                 value = worker(payload)
                 kind = "invalid-result"
                 value = validate(value) if validate is not None else value
-            except KeyboardInterrupt:
+            except (KeyboardInterrupt, CampaignInterrupted):
+                # A nested campaign (scan-crossval inside an experiment)
+                # reports the same Ctrl-C as CampaignInterrupted.
                 report.interrupted = True
                 return
             except Exception as exc:

@@ -17,7 +17,7 @@ Three subcommands over the same analyzer:
 
 Exit codes follow the shared campaign contract
 (:mod:`repro.runtime.exitcodes`): 0 clean, 1 failures/violations, 2 bad
-usage, 3 interrupted.
+usage, 3 interrupted (no partial ``--out`` is written).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core.config import ZEN3_MODELS
-from repro.errors import ArtifactError, ConfigError, ReproError
+from repro.errors import ArtifactError, CampaignInterrupted, ConfigError, ReproError
 from repro.fuzz import corpus as corpus_mod
 from repro.fuzz.cli import derive_case
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, Corpus
@@ -36,7 +36,8 @@ from repro.fuzz.harness import MITIGATIONS
 from repro.runtime import exitcodes
 from repro.runtime.atomic import atomic_write_text
 from repro.runtime.cliutil import build_parser
-from repro.runtime.supervisor import DEFAULT_RETRIES, run_supervised
+from repro.runtime.campaign import CampaignResult, execute_campaign
+from repro.runtime.supervisor import DEFAULT_RETRIES
 from repro.static import crossval as crossval_mod
 from repro.static.advisor import advise
 from repro.static.gadgets import scan_program
@@ -142,30 +143,26 @@ def run_scan_batch(
     timeout: float | None = None,
     retries: int = DEFAULT_RETRIES,
     progress: Callable[[str], None] | None = None,
-):
+) -> CampaignResult:
     """Supervised fan-out of scan tasks; records in stable task order."""
-    say = progress or (lambda line: None)
-    results: dict[int, dict] = {}
 
-    def on_result(task_id: int, record: dict) -> None:
-        results[task_id] = record
+    def describe(task_id: int, record: dict) -> str:
         verdict = "clean" if record["clean"] else f"{len(record['gadgets'])} gadget(s)"
-        say(
+        return (
             f"task {task_id:3d} {record['name']:<24s} "
             f"[{record['mitigation']}]: {verdict}"
         )
 
-    report = run_supervised(
+    return execute_campaign(
         [(task["task"], task) for task in tasks],
         _scan_one,
+        validate=_validate_record,
+        describe=describe,
+        progress=progress,
         jobs=jobs,
         timeout=timeout,
         retries=retries,
-        validate=_validate_record,
-        on_result=on_result,
-        progress=say,
     )
-    return [results[task_id] for task_id in sorted(results)], report
 
 
 def _mitigation_list(text: str) -> list[str]:
@@ -189,7 +186,7 @@ def _cmd_scan(args) -> int:
         seed=args.seed,
         mitigations=_mitigation_list(args.mitigation),
     )
-    records, report = run_scan_batch(
+    records = run_scan_batch(
         tasks, jobs=max(1, args.jobs), timeout=args.timeout,
         retries=max(0, args.retries), progress=say,
     )
@@ -209,12 +206,12 @@ def _cmd_scan(args) -> int:
             if not record["clean"]:
                 print(f"  {record['name']} [{record['mitigation']}]: "
                       f"{record['kinds']}")
-    for failure in report.failures:
+    for failure in records.failures:
         print(
             f"  FAILED task {failure.task}: {failure.kind} after "
             f"{failure.attempts} attempt(s) — {failure.message}"
         )
-    return exitcodes.EXIT_FAILURES if report.failures else exitcodes.EXIT_OK
+    return exitcodes.EXIT_FAILURES if records.failures else exitcodes.EXIT_OK
 
 
 def _cmd_advise(args) -> int:
@@ -344,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ArtifactError) as exc:
         print(f"repro-scan: {exc}", file=sys.stderr)
         return exitcodes.EXIT_USAGE
+    except CampaignInterrupted as exc:
+        print(f"repro-scan: {exc}; nothing written", file=sys.stderr)
+        return exitcodes.EXIT_INTERRUPTED
     except ReproError as exc:
         print(f"repro-scan: {exc}", file=sys.stderr)
         return exitcodes.EXIT_FAILURES

@@ -47,7 +47,8 @@ from repro.fuzz.findings import read_findings
 from repro.fuzz.gen import build_program
 from repro.fuzz.harness import MITIGATIONS
 from repro.fuzz.oracle import leak_check_instructions
-from repro.runtime.supervisor import DEFAULT_RETRIES, TaskFailure, run_supervised
+from repro.runtime.campaign import execute_campaign
+from repro.runtime.supervisor import DEFAULT_RETRIES, TaskFailure
 from repro.static.gadgets import scan_program
 from repro.telemetry.metrics import registry
 
@@ -248,34 +249,31 @@ def run_crossval(
     retries: int = DEFAULT_RETRIES,
     progress: Callable[[str], None] | None = None,
 ) -> CrossValReport:
-    """Run the full cross-validation; rows come back in stable case order."""
-    say = progress or (lambda line: None)
+    """Run the full cross-validation; rows come back in stable case order.
+
+    Raises :class:`repro.errors.CampaignInterrupted` when interrupted: a
+    partial matrix must never pass for a sound one.
+    """
     cases = build_cases(
         corpus_dir=corpus_dir, findings=findings, budget=budget, seed=seed,
         mitigations=mitigations, model_name=model_name,
     )
-    results: dict[int, dict] = {}
-
-    def on_result(case_id: int, row: dict) -> None:
-        results[case_id] = row
-        say(
-            f"case {case_id:3d} {row['generator']:<10s} seed={row['seed']} "
-            f"[{row['mitigation']}]: {row['cell']}"
-        )
-
-    report = run_supervised(
+    campaign = execute_campaign(
         [(case["case"], case) for case in cases],
         run_case,
+        validate=_validate_row,
+        describe=lambda case_id, row: (
+            f"case {case_id:3d} {row['generator']:<10s} seed={row['seed']} "
+            f"[{row['mitigation']}]: {row['cell']}"
+        ),
+        progress=progress,
         jobs=jobs,
         timeout=timeout,
         retries=retries,
         batch="adaptive",  # homogeneous small cases: batch onto warm workers
-        validate=_validate_row,
-        on_result=on_result,
-        progress=say,
     )
-    rows = [results[case_id] for case_id in sorted(results)]
-    out = CrossValReport(rows, failures=list(report.failures))
+    rows = list(campaign)
+    out = CrossValReport(rows, failures=campaign.failures)
     registry().counter("scan.crossval_cases").inc(len(rows))
     registry().counter("scan.crossval_violations").inc(len(out.violations))
     return out

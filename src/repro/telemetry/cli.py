@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import sys
 
+from ..errors import CampaignInterrupted
 from ..runtime import atomic_write_text, exitcodes
 from ..runtime.cliutil import build_parser
 from .diff import first_divergence
@@ -90,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"repro-trace: {exc}", file=sys.stderr)
         return exitcodes.EXIT_USAGE
+    except CampaignInterrupted as exc:
+        print(f"repro-trace: {exc}", file=sys.stderr)
+        return exitcodes.EXIT_INTERRUPTED
 
 
 def _record(args) -> int:

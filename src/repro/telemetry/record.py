@@ -208,9 +208,10 @@ def record_many(
 
     Each worker records into its own trace file (written atomically), so
     results are byte-identical whatever ``jobs`` is.  Rows come back in
-    ``targets`` order.
+    ``targets`` order; an interrupt raises
+    :class:`repro.errors.CampaignInterrupted`.
     """
-    from ..runtime.supervisor import run_supervised
+    from ..runtime.campaign import execute_campaign
 
     tasks = [
         (
@@ -225,18 +226,11 @@ def record_many(
         )
         for target in targets
     ]
-    rows: dict[str, dict[str, Any]] = {}
-    report = run_supervised(
-        tasks,
-        _record_task,
-        jobs=jobs,
-        on_result=lambda name, row: rows.__setitem__(name, row),
-        progress=progress,
-    )
-    if report.failures:
-        first = report.failures[0]
+    rows = execute_campaign(tasks, _record_task, jobs=jobs, progress=progress)
+    if rows.failures:
+        first = rows.failures[0]
         raise RuntimeError(
-            f"recording failed for {len(report.failures)} target(s); "
+            f"recording failed for {len(rows.failures)} target(s); "
             f"first: {first.task}: {first.message}"
         )
-    return [rows[target] for target in targets if target in rows]
+    return rows

@@ -47,7 +47,7 @@ class TestKeyboardInterrupt:
         results = tmp_path / "results"
         with pytest.raises(CampaignInterrupted) as excinfo:
             run_campaign(["ok", "boom"], jobs=1, use_cache=False, json_dir=results)
-        assert excinfo.value.partial.completed_names == ["ok"]
+        assert excinfo.value.partial.task_ids == ["ok"]
         assert excinfo.value.checkpoint == results / MANIFEST_NAME
         manifest = read_manifest(results)
         assert manifest["interrupted"] is True
@@ -143,7 +143,7 @@ class TestCrashIsolation:
     def test_crash_without_retries_is_structured_failure(self, tmp_path):
         results = tmp_path / "results"
         campaign = _stable(SMOKE, results, chaos="crash@fig4", retries=0)
-        assert campaign.completed_names == ["sec3-selection"]
+        assert campaign.task_ids == ["sec3-selection"]
         (failure,) = campaign.failures
         assert failure.task == "fig4" and failure.kind == "crash"
         manifest = read_manifest(results)

@@ -6,7 +6,21 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fuzz.corpus import REGRESSION_ENTRIES
+from repro.static import cli
+from repro.static import crossval
 from repro.static.cli import main, parse_target
+
+
+def _interrupt_at(module, name, task_key, at, monkeypatch):
+    """Make ``module.name`` raise KeyboardInterrupt on task ``at``."""
+    real = getattr(module, name)
+
+    def worker(task):
+        if task[task_key] == at:
+            raise KeyboardInterrupt
+        return real(task)
+
+    monkeypatch.setattr(module, name, worker)
 
 
 class TestParseTarget:
@@ -66,6 +80,16 @@ class TestScan:
         assert main(["scan", "case:fuzz-v1:5:8", "--out", ""]) == 0
         assert list(tmp_path.iterdir()) == []
 
+    def test_interrupt_exits_3_without_findings(self, tmp_path, monkeypatch):
+        _interrupt_at(cli, "_scan_one", "task", 2, monkeypatch)
+        out = tmp_path / "scan.jsonl"
+        code = main([
+            "scan", "--no-corpus", "--budget", "2", "--seed", "1",
+            "--mitigation", "none", "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+
     def test_bad_target_is_usage_error(self):
         assert main(["scan", "case:nope:1:2"]) == 2
 
@@ -113,3 +137,14 @@ class TestCrossval:
 
     def test_bad_mitigation_is_usage_error(self):
         assert main(["crossval", "--mitigation", "prayer"]) == 2
+
+    def test_interrupt_exits_3_without_report(self, tmp_path, capsys, monkeypatch):
+        _interrupt_at(crossval, "run_case", "case", 2, monkeypatch)
+        out = tmp_path / "agreement.json"
+        code = main([
+            "crossval", "--no-corpus", "--budget", "2", "--seed", "1",
+            "--mitigation", "none", "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+        assert "SOUND" not in capsys.readouterr().out

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.runtime import exitcodes
+from repro.telemetry import record
 from repro.telemetry.cli import main
 from repro.telemetry.record import record_target, target_slug, trace_path
 from repro.telemetry.sinks import read_trace
@@ -99,6 +100,15 @@ class TestCli:
         assert main(["export", str(none_path), "--format", "timeline"]) \
             == exitcodes.EXIT_OK
         assert "stld-predict" in capsys.readouterr().out
+
+    def test_interrupted_record_exits_3(self, tmp_path, monkeypatch):
+        def interrupted(payload):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(record, "_record_task", interrupted)
+        code = main(["record", "stl", "--out", str(tmp_path)])
+        assert code == exitcodes.EXIT_INTERRUPTED
+        assert not list(tmp_path.iterdir())
 
     def test_bad_trace_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
