@@ -17,15 +17,19 @@ every observable output the repo already pins:
   would forgive).
 
 ``GOLDEN.json`` (committed at ``benchmarks/GOLDEN.json``) records the
-digests produced by the unoptimized code; ``make equivalence-check``
-and ``tests/bench/test_equivalence.py`` recompute and compare.  Any
+digests produced by the unoptimized code, at the ``full`` tier;
+``make equivalence-check`` recomputes every section and compares.  Any
 mismatch means an optimization changed behaviour and must be fixed —
 there is deliberately no tolerance knob here, unlike the throughput
 comparison in :mod:`repro.bench.artifact`.
 
-Two tiers keep the gate usable: ``fast`` (sub-cheap experiments +
-full corpus + traces, ~15 s — runs in the test suite) and ``full``
-(all 21 experiments, ~6 min — run before committing core changes).
+Two tiers select the experiments: ``fast`` (the cheap experiments of
+:data:`FAST_EXPERIMENTS`, a few seconds) and ``full`` (every registered
+experiment — 27 at the time of writing, several minutes; run before
+committing core changes).  The ``corpus`` and ``traces`` sections are
+the same at both tiers and take under a second, so
+``tests/bench/test_equivalence.py`` recomputes those two against the
+committed file in the test suite.
 """
 
 from __future__ import annotations

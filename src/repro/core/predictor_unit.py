@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.config import CpuModel, default_model
 from repro.core.counters import CounterState
@@ -50,31 +49,43 @@ class AccessResult:
 
 _SSBD_BLOCK = Prediction(aliasing=True, psf_forward=False, sticky=False)
 
-#: Interned :class:`CounterState` values keyed by their counter tuple.
-#: ``state_for`` assembles one state per racing load; interning makes the
-#: repeat assembly a dict probe (and keeps the lru_cache keys below shared
-#: objects).  CounterState is frozen, so sharing is safe; the domain is the
-#: clamped counter product, the same bound the state-machine caches rely on.
-_STATES: dict[tuple[int, int, int, int, int], CounterState] = {}
+#: PSFP counters of a core without PSF hardware (Zen 2): always zero.
+_NO_PAIR = (0, 0, 0)
+
+_TYPE_G = ExecType.G
+
+#: What is pure in one counter tuple ``(c0, c1, c2, c3, c4)``, built once
+#: per distinct tuple: the interned :class:`CounterState`, its
+#: :class:`Prediction`, and its SSBD-off :class:`AccessResult` for a
+#: non-aliasing and for an aliasing pair.  Keyed by the plain tuple so a
+#: lookup hashes ints in C; CounterState's dataclass ``__hash__`` runs in
+#: Python.  Everything stored is frozen, so sharing is safe; the domain is
+#: the clamped counter product, the same bound the state-machine caches
+#: rely on.
+_FACTS: dict[
+    tuple[int, int, int, int, int],
+    tuple[CounterState, Prediction, AccessResult, AccessResult],
+] = {}
 
 
-@lru_cache(maxsize=None)
-def _pair_outcome(before: CounterState, aliasing: bool) -> AccessResult:
-    """The SSBD-off outcome of one pair: pure in ``(before, aliasing)``.
-
-    Prediction, TABLE I transition and the resulting :class:`AccessResult`
-    depend only on the incoming counter state and the ground truth, so the
-    whole bundle is memoized; :meth:`PredictorUnit.access` applies the
-    table writes and bookkeeping around the cached value.
-    """
-    result = transition(before, aliasing)
-    return AccessResult(
-        exec_type=result.exec_type,
-        prediction=predict_state(before),
-        state_name=result.state_name,
-        before=before,
-        after=result.state,
-    )
+def _learn(counters: tuple[int, int, int, int, int]):
+    """Build and intern the :data:`_FACTS` entry for ``counters``."""
+    state = CounterState(*counters)
+    prediction = predict_state(state)
+    outcomes = []
+    for aliasing in (False, True):
+        result = transition(state, aliasing)
+        outcomes.append(
+            AccessResult(
+                exec_type=result.exec_type,
+                prediction=prediction,
+                state_name=result.state_name,
+                before=state,
+                after=result.state,
+            )
+        )
+    facts = _FACTS[counters] = (state, prediction, *outcomes)
+    return facts
 
 
 class PredictorUnit:
@@ -107,29 +118,30 @@ class PredictorUnit:
     # ------------------------------------------------------------------
     # State assembly and prediction
     # ------------------------------------------------------------------
-    def state_for(self, store_hash: int, load_hash: int) -> CounterState:
-        """Assemble the five-counter state for one (store, load) pair.
+    def _facts_for(self, store_hash: int, load_hash: int):
+        """Assemble the pair's five counters — refreshing the recency of
+        both table entries — and return their :data:`_FACTS` entry.
 
         On a core without PSF hardware (Zen 2) there is no PSFP: the
         pair counters read as zero and are never written, leaving only
         the SSBP dynamics (Initialize / Load-From-Cache / S2 states).
         """
         if self.model.psf_supported:
-            c0, c1, c2 = self.psfp.counters(store_hash, load_hash)
+            pair = self.psfp.counters(store_hash, load_hash)
         else:
-            c0 = c1 = c2 = 0
-        c3, c4 = self.ssbp.counters(load_hash)
-        key = (c0, c1, c2, c3, c4)
-        state = _STATES.get(key)
-        if state is None:
-            state = _STATES[key] = CounterState(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4)
-        return state
+            pair = _NO_PAIR
+        counters = pair + self.ssbp.counters(load_hash)
+        return _FACTS.get(counters) or _learn(counters)
+
+    def state_for(self, store_hash: int, load_hash: int) -> CounterState:
+        """The five-counter state for one (store, load) pair."""
+        return self._facts_for(store_hash, load_hash)[0]
 
     def predict(self, store_hash: int, load_hash: int) -> Prediction:
         """What the unit will do for the next pair at these IPAs."""
         if self.spec_ctrl.ssbd:
             return _SSBD_BLOCK
-        return predict_state(self.state_for(store_hash, load_hash))
+        return self._facts_for(store_hash, load_hash)[1]
 
     # ------------------------------------------------------------------
     # Execution
@@ -142,10 +154,11 @@ class PredictorUnit:
         This is called for architectural *and* transient executions alike;
         predictor updates are never rolled back (Vulnerability 4).
         """
-        before = self.state_for(store_hash, load_hash)
+        facts = self._facts_for(store_hash, load_hash)
         if self.spec_ctrl.ssbd:
             # Loads serialize behind stores; the unit is pinned in the
             # Block state and learns nothing (Section VI-A).
+            before = facts[0]
             exec_type = ExecType.A if aliasing else ExecType.E
             self.exec_type_counts[exec_type] += 1
             if self.trace is not None:
@@ -161,18 +174,17 @@ class PredictorUnit:
                 after=before,
             )
 
-        outcome = _pair_outcome(before, aliasing)
+        outcome = facts[3] if aliasing else facts[2]
         after = outcome.after
         # Entries are allocated only by a mispredicted bypass (type G);
         # other events update live entries but never claim a new slot.
-        allocate = outcome.exec_type is ExecType.G
+        allocate = outcome.exec_type is _TYPE_G
         if self.model.psf_supported:
-            self.psfp.update(
-                store_hash, load_hash, after.c0, after.c1, after.c2, allocate=allocate
-            )
-        self.ssbp.update(load_hash, after.c3, after.c4, allocate=allocate)
+            self.psfp.update(store_hash, load_hash, after.c0, after.c1, after.c2, allocate)
+        self.ssbp.update(load_hash, after.c3, after.c4, allocate)
         self.exec_type_counts[outcome.exec_type] += 1
         if self.trace is not None:
+            before = outcome.before
             self._emit_transition(
                 store_hash, load_hash, aliasing, outcome.exec_type,
                 classify_state(before), outcome.state_name, before, after,

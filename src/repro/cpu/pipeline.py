@@ -29,6 +29,15 @@ Performance notes (docs/performance.md has the full story):
   (:meth:`repro.cpu.isa.Program.decoded`) — integer opcode dispatch
   instead of an isinstance chain, built once and reused across the
   thousands of repeated runs every experiment performs.
+* One scheduling loop (:meth:`_ExecState._run`) holds every opcode's
+  semantics and the window-close, store-resolution and quiesce
+  decisions, with the hot state in locals.  :meth:`_ExecState.execute`
+  runs it to completion and :meth:`_ExecState.step` (the SMT runner)
+  runs it for one decision; tracing is an inline ``trace is not None``
+  guard in the same body.
+* Store resolution runs only when a store holding speculated-load
+  records has resolved (``_resolve_at``); until then a step pays one
+  comparison and the inline head-commit check.
 * Rollback state is a **delta journal**, not a register-file copy: while
   any rollback point is live, every register write appends an undo
   record, and a squash replays the journal backwards to the rollback
@@ -126,6 +135,16 @@ CHAOS_HOOKS: set[str] = set()
 #: journaled write (undo = delete the key).
 _ABSENT = object()
 
+#: Enum members and facts used on hot paths, bound once: reading a member
+#: off its enum class, or an enum property, costs several times a module
+#: global.  ``_ROLLBACK_TYPES`` is ``ExecType.rollback`` as a tuple.
+_ROLLBACK_TYPES = tuple(t for t in ExecType if t.rollback)
+_TYPE_C = ExecType.C
+_PERM_R, _PERM_W = Perm.R, Perm.W
+
+#: ``_ExecState._resolve_at`` while no store holds speculated-load records.
+_NEVER = 1 << 62
+
 
 @dataclass(slots=True)
 class _SpecLoad:
@@ -136,8 +155,6 @@ class _SpecLoad:
     load_ipa: int
     load_hash: int
     store_hash: int
-    paddr: int
-    width: int
     prediction: Prediction
     truth: bool
     covers: bool
@@ -326,8 +343,9 @@ class Pipeline:
 
         Unlike :meth:`run`, the caller drives the execution — one
         :meth:`_ExecState.step` per scheduling decision until it returns
-        False — then collects :meth:`_ExecState.finalize` and accounts
-        thread cycles from the result.  The SMT runner interleaves two
+        False, the same loop :meth:`run` runs to completion — then
+        collects :meth:`_ExecState.finalize` and accounts thread cycles
+        from the result.  The SMT runner interleaves two
         hardware threads this way; each state owns its thread's store
         queue and rollback journal, so interleaved states never share
         mutable interpreter state.
@@ -346,11 +364,19 @@ class Pipeline:
 class _ExecState:
     """Mutable interpreter state for one program run.
 
-    Collaborator attributes (store queue, memory, hierarchy, PMC,
+    Collaborator attributes (store queue, memory, hierarchy, PMC bank,
     predictor unit, hash salt) are bound once at construction — they are
-    stable for the lifetime of a run, and the per-step hot paths below
-    read the locals instead of re-walking ``self.thread.…`` chains.
+    stable for the lifetime of a run.  One state is built per run, so its
+    slots keep construction cheap.
     """
+
+    __slots__ = (
+        "pipe", "core", "thread", "kernel", "lat", "process", "program", "dec",
+        "regs", "ready", "index", "dispatch", "seq", "retired", "result",
+        "window", "halted", "trace", "tid", "sq", "sq_entries", "memory",
+        "hierarchy", "_pmcc", "unit", "salt", "_journal", "_jlive", "_nrec",
+        "_resolve_at",
+    )
 
     def __init__(
         self,
@@ -359,9 +385,11 @@ class _ExecState:
         program: Program,
         regs: dict[str, int],
     ) -> None:
+        thread = pipeline.thread
+        core = pipeline.core
         self.pipe = pipeline
-        self.core = pipeline.core
-        self.thread = pipeline.thread
+        self.core = core
+        self.thread = thread
         self.kernel = pipeline.kernel
         self.lat = pipeline.lat
         self.process = process
@@ -373,47 +401,34 @@ class _ExecState:
         self.dispatch = 0
         self.seq = 0
         self.retired = 0
-        self.result = RunResult(regs=self.regs, cycles=0)
+        self.result = RunResult(regs, 0)
         self.window: _TransientWindow | None = None
         self.halted = False
         self.trace = pipeline.trace
-        self.tid = pipeline.thread.thread_id
-        # Hot-path collaborator bindings (stable for the whole run).
-        self.sq = pipeline.thread.store_queue
+        self.tid = thread.thread_id
+        self.sq = thread.store_queue
         self.sq_entries = self.sq.live_entries()  # identity-stable list
-        self.memory = pipeline.core.memory
-        self.hierarchy = pipeline.core.hierarchy
-        self.pmc = pipeline.thread.pmc
-        # Raw counter bank: the per-dispatch ITLB event is incremented
-        # directly (equivalent to Pmc.add, minus the call overhead).
-        self._pmcc = self.pmc.counts
-        self.unit = pipeline.thread.unit
+        self.memory = core.memory
+        self.hierarchy = core.hierarchy
+        # The raw PMC counter bank: ``counts[event] += n`` is Pmc.add
+        # minus the call.
+        self._pmcc = thread.pmc.counts
+        self.unit = thread.unit
         self.salt = self.unit.hash_salt
         # Register delta journal (see _Snapshot): undo records appended
-        # by _set_reg while any rollback point is live.
+        # by every register write while any rollback point is live.
         self._journal: list[tuple] = []
         self._jlive = 0      # live _Snapshot objects
         self._nrec = 0       # _SpecLoad records attached to store entries
+        # No store holding speculated-load records resolves before this
+        # cycle (a lower bound; _resolve_stores makes it exact).  Records
+        # left in the queue by an earlier run that faulted out are
+        # covered by starting at 0 whenever the queue is not empty.
+        self._resolve_at = 0 if self.sq_entries else _NEVER
 
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
-    def _reg(self, name: str) -> int:
-        return self.regs.get(name, 0)
-
-    def _ready_of(self, *names: str) -> int:
-        return max((self.ready.get(name, 0) for name in names), default=0)
-
-    def _set_reg(self, name: str, value: int, ready: int) -> None:
-        """The single register-write point: journals the previous slot
-        values while any rollback point is live (delta journal)."""
-        if self._jlive:
-            self._journal.append(
-                (name, self.regs.get(name, _ABSENT), self.ready.get(name, _ABSENT))
-            )
-        self.regs[name] = value & _U64
-        self.ready[name] = ready
-
     def _snapshot(self) -> _Snapshot:
         """Open a rollback point at the current journal position."""
         self._jlive += 1
@@ -462,23 +477,12 @@ class _ExecState:
         if "skip-store-squash" not in CHAOS_HOOKS:
             self.sq.squash_younger(seq)
 
-    def _translate(self, vaddr: int, access: Perm) -> int:
-        return self.kernel.translate(self.process, vaddr, access, self.thread)
-
     def _ipa_of_instruction(self, index: int) -> int:
         iva = self.dec.ivas[index]
         paddr = self.process.address_space.translate_nofault(iva)
         if paddr is None:
             raise SegmentationFault(iva, access="execute")
         return paddr
-
-    def _hash(self, ipa: int) -> int:
-        return ipa_hash(ipa, self.salt)
-
-    def _in_speculative_context(self) -> bool:
-        # O(1): _jlive counts live rollback points, which exist exactly
-        # while some speculated-load record or window could still squash.
-        return self.window is not None or self._jlive > 0
 
     def _sq_horizon(self) -> int:
         horizon = self.dispatch
@@ -531,241 +535,336 @@ class _ExecState:
         return int.from_bytes(entry.data[:width].ljust(width, b"\x00"), "little")
 
     # ------------------------------------------------------------------
-    # Main loop
+    # The scheduling loop
     # ------------------------------------------------------------------
     def execute(self, max_steps: int) -> RunResult:
-        steps = 0
-        step = self.step
-        while not self.halted:
-            steps += 1
-            if steps > max_steps:
-                raise SimulationLimitExceeded(
-                    f"program {self.program.name!r} exceeded {max_steps} steps"
-                )
-            step()
+        """Run to completion in at most ``max_steps`` scheduling decisions."""
+        self._run(max_steps)
+        if not self.halted:
+            raise SimulationLimitExceeded(
+                f"program {self.program.name!r} exceeded {max_steps} steps"
+            )
         return self.finalize()
 
     def step(self) -> bool:
         """Advance by one scheduling decision; returns False once halted.
 
-        Exposed so an SMT runner can interleave two hardware threads'
-        executions instruction by instruction.
+        The SMT runner interleaves two hardware threads' executions this
+        way; it is :meth:`execute`'s loop bounded to one decision.
         """
-        if self.halted:
-            return False
-        window = self.window
-        if window is not None and (
-            self.dispatch >= window.stop or self.index >= self.dec.n
-        ):
-            self._close_window()
-            return not self.halted
-        # With an empty store queue _resolve_stores is a no-op (nothing to
-        # train, nothing to commit) — skip the call on the ALU-only fast
-        # path.  sq_entries is the live list, so emptiness is current.
-        if self.sq_entries and self._resolve_stores(self.dispatch):
-            return True  # a squash rewound the state
-        if self.index >= self.dec.n:
-            if not self._quiesce():
-                self.halted = True
-            return not self.halted
-        self._dispatch_one(self.index)
+        if not self.halted:
+            self._run(1)
         return not self.halted
 
-    def finalize(self) -> RunResult:
-        frontier = max([self.dispatch] + list(self.ready.values()) + [self._sq_horizon()])
-        self.sq.drain(self.memory)
-        self.pmc.add(PmcEvent.RETIRED_OPS, self.retired)
-        self.result.cycles = frontier
-        self.result.retired = self.retired
-        return self.result
+    def _run(self, budget: int) -> None:
+        """Take up to ``budget`` scheduling decisions, stopping at halt.
 
-    def _commit_ceiling(self) -> int | None:
-        """Stores younger than an open window's base must never commit."""
-        return self.window.base_seq if self.window is not None else None
-
-    def _quiesce(self) -> bool:
-        """Resolve every pending store at end of program/fence.
-
-        Returns True when a squash rewound execution (caller re-loops).
+        A decision is one of: close a transient window that reached its
+        resolve point; resolve stores whose speculated loads are due (a
+        squash rewinds and ends the decision); quiesce at the end of the
+        program; or dispatch one instruction.  Every opcode is executed
+        here, once (loads and stores through :meth:`_exec_load` and
+        :meth:`_exec_store`).  ``index``, ``dispatch`` and ``retired``
+        live in locals, written back to ``self`` before any helper that
+        reads or writes them and on exit; they, the live-snapshot count
+        and the open window are reloaded after each such helper.
         """
+        dec = self.dec
+        ops, argv, names, n = dec.ops, dec.args, dec.names, dec.n
+        regs, ready, journal = self.regs, self.ready, self._journal
+        entries = self.sq_entries
+        pmcc = self._pmcc
+        trace, tid = self.trace, self.tid
+        alu_lat, imul_lat = self.lat.alu, self.lat.imul
+        itlb_hit = PmcEvent.ITLB_HIT_4K
+        index, dispatch, retired = self.index, self.dispatch, self.retired
+        jlive, window = self._jlive, self.window
+        while budget:
+            budget -= 1
+            if window is not None and (dispatch >= window.stop or index >= n):
+                self.index, self.dispatch, self.retired = index, dispatch, retired
+                self._close_window()
+                index, dispatch, retired = self.index, self.dispatch, self.retired
+                jlive, window = self._jlive, self.window
+                continue
+            if entries:
+                # _resolve_stores only when a store holding speculated-load
+                # records has resolved; until then it would do nothing.
+                if self._nrec and self._resolve_at <= dispatch:
+                    self.index, self.dispatch, self.retired = index, dispatch, retired
+                    squashed = self._resolve_stores(dispatch)
+                    index, dispatch, retired = self.index, self.dispatch, self.retired
+                    jlive, window = self._jlive, self.window
+                    if squashed:
+                        continue
+                # commit_ready commits nothing unless the head store is
+                # fully ready and under the window ceiling — its break
+                # conditions, checked here so the common case costs no call.
+                head = entries[0]
+                if head.addr_ready <= dispatch and head.data_ready <= dispatch:
+                    ceiling = None if window is None else window.base_seq
+                    if ceiling is None or head.seq <= ceiling:
+                        self.sq.commit_ready(self.memory, dispatch, ceiling)
+            if index >= n:
+                self.index, self.dispatch, self.retired = index, dispatch, retired
+                self._quiesce()
+                index, dispatch, retired = self.index, self.dispatch, self.retired
+                jlive, window = self._jlive, self.window
+                if self.halted:
+                    break
+                continue
+
+            op = ops[index]
+            if op == OP_LABEL:
+                index += 1
+                continue  # zero-size, zero-time
+            pmcc[itlb_hit] += 1
+            d = dispatch
+            if trace is not None:
+                trace.emit(DispatchEvent(cycle=d, thread=tid, index=index, op=names[index]))
+            args = argv[index]
+            # Opcode chain ordered roughly by dynamic frequency in the fuzz
+            # and experiment workloads (ALU/IMUL address-generation chains
+            # dominate, then memory ops).  Register-writing opcodes set
+            # dst/value/when for the one register write below; the others
+            # set dst to None or leave the iteration themselves.
+            if op == OP_ALU:
+                dst, a, b, code, opname = args
+                av = regs.get(a, 0)
+                bv = regs.get(b, 0)
+                when = d
+                ra = ready.get(a, 0)
+                if ra > when:
+                    when = ra
+                rb = ready.get(b, 0)
+                if rb > when:
+                    when = rb
+                when += alu_lat
+                if code == ALU_ADD:
+                    value = av + bv
+                elif code == ALU_SUB:
+                    value = av - bv
+                elif code == ALU_XOR:
+                    value = av ^ bv
+                elif code == ALU_AND:
+                    value = av & bv
+                elif code == ALU_OR:
+                    value = av | bv
+                else:
+                    raise InvalidInstruction(f"unknown ALU op {opname!r}")
+            elif op == OP_ALUIMM:
+                dst, src, imm, code, opname = args
+                av = regs.get(src, 0)
+                when = d
+                rs = ready.get(src, 0)
+                if rs > when:
+                    when = rs
+                when += alu_lat
+                if code == ALU_ADD:
+                    value = av + imm
+                elif code == ALU_SUB:
+                    value = av - imm
+                elif code == ALU_XOR:
+                    value = av ^ imm
+                elif code == ALU_AND:
+                    value = av & imm
+                elif code == ALU_OR:
+                    value = av | imm
+                else:
+                    raise InvalidInstruction(f"unknown ALU op {opname!r}")
+            elif op == OP_IMULIMM:
+                dst, src, imm = args
+                value = regs.get(src, 0) * imm
+                when = d
+                rs = ready.get(src, 0)
+                if rs > when:
+                    when = rs
+                when += imul_lat
+            elif op == OP_IMUL:
+                dst, a, b = args
+                value = regs.get(a, 0) * regs.get(b, 0)
+                when = d
+                ra = ready.get(a, 0)
+                if ra > when:
+                    when = ra
+                rb = ready.get(b, 0)
+                if rb > when:
+                    when = rb
+                when += imul_lat
+            elif op == OP_MOVIMM:
+                dst, value = args
+                when = d
+            elif op == OP_MOV:
+                dst, src = args
+                value = regs.get(src, 0)
+                when = ready.get(src, 0)
+                if d > when:
+                    when = d
+            elif op == OP_LOAD:
+                dst = args[0]
+                self.index, self.retired = index, retired
+                value, when = self._exec_load(index, args, d)
+                jlive, window = self._jlive, self.window
+            elif op == OP_STORE:
+                dst = None
+                self._exec_store(index, args, d)
+            elif op == OP_PAD:
+                dst = None
+            elif op == OP_JZ:
+                cond, target, label = args
+                iva = dec.ivas[index]
+                taken = regs.get(cond, 0) == 0
+                predicted = self.pipe.predict_branch(iva)
+                rc = ready.get(cond, 0)
+                resolve = (rc if rc > d else d) + alu_lat
+                self.pipe.train_branch(iva, taken)
+                if trace is not None:
+                    trace.emit(
+                        BranchPredictEvent(
+                            cycle=d, thread=tid, index=index, iva=iva,
+                            predicted_taken=predicted,
+                        )
+                    )
+                    trace.emit(
+                        BranchResolveEvent(
+                            cycle=resolve, thread=tid, index=index, iva=iva,
+                            taken=taken, mispredicted=predicted != taken,
+                        )
+                    )
+                if target is None:
+                    raise InvalidInstruction(f"unknown label {label!r}")
+                retired += 1
+                if trace is not None:
+                    self._trace_commit(index, names[index], d, retired)
+                dispatch = d + 1
+                fallthrough = index + 1
+                if predicted == taken or window is not None:
+                    # Correct prediction — or a nested mispredict inside an
+                    # open window (single-level wrong-path model): follow
+                    # the truth.
+                    index = target if taken else fallthrough
+                    continue
+                # Mispredicted: run the wrong path transiently until
+                # resolution.
+                self.index, self.retired = index, retired
+                window = self.window = _TransientWindow(
+                    stop=resolve,
+                    snapshot=self._snapshot(),
+                    resume_index=target if taken else fallthrough,
+                    base_seq=self.seq,
+                )
+                jlive = self._jlive
+                index = target if predicted else fallthrough  # wrong path
+                continue
+            elif op == OP_HALT:
+                if window is not None:
+                    # A wrong path ran into Halt: fast-forward to the
+                    # window's resolve point; the next decision squashes it.
+                    if window.stop > dispatch:
+                        dispatch = window.stop
+                    continue
+                retired += 1
+                if trace is not None:
+                    self._trace_commit(index, names[index], d, retired)
+                self.index, self.dispatch, self.retired = index, dispatch, retired
+                self._quiesce()
+                index, dispatch, retired = self.index, self.dispatch, self.retired
+                jlive, window = self._jlive, self.window
+                if self.halted:
+                    break
+                continue
+            elif op == OP_MFENCE:
+                self.index, self.dispatch, self.retired = index, dispatch, retired
+                horizon = self._sq_horizon()
+                if ready:
+                    frontier = max(ready.values())
+                    if frontier > horizon:
+                        horizon = frontier
+                squashed = self._resolve_stores(horizon)
+                index, dispatch, retired = self.index, self.dispatch, self.retired
+                jlive, window = self._jlive, self.window
+                if squashed:
+                    continue  # the fence re-executes after the replay
+                if horizon > dispatch:
+                    dispatch = horizon
+                if entries:
+                    self.sq.commit_ready(
+                        self.memory, dispatch, None if window is None else window.base_seq
+                    )
+                retired += 1
+                if trace is not None:
+                    self._trace_commit(index, names[index], d, retired)
+                index += 1
+                if d + 1 > dispatch:
+                    dispatch = d + 1
+                continue
+            elif op == OP_RDPRU:
+                dst = args[0]
+                frontier = max(ready.values(), default=0)
+                if d > frontier:
+                    frontier = d
+                value = self.thread.cycles + self._noisy(frontier)
+                when = d
+            elif op == OP_CLFLUSH:
+                dst = None
+                base, offset = args
+                vaddr = (regs.get(base, 0) + offset) & _U64
+                self.hierarchy.clflush(
+                    self.kernel.translate(self.process, vaddr, _PERM_R, self.thread)
+                )
+            else:
+                raise InvalidInstruction(f"unhandled instruction {dec.insts[index]!r}")
+            if dst is not None:
+                if jlive:
+                    journal.append((dst, regs.get(dst, _ABSENT), ready.get(dst, _ABSENT)))
+                regs[dst] = value & _U64
+                ready[dst] = when
+            retired += 1
+            if trace is not None:
+                self._trace_commit(index, names[index], d, retired)
+            index += 1
+            dispatch = d + 1
+        self.index, self.dispatch, self.retired = index, dispatch, retired
+
+    def finalize(self) -> RunResult:
+        frontier = self._sq_horizon()
+        if self.ready:
+            latest = max(self.ready.values())
+            if latest > frontier:
+                frontier = latest
+        if self.sq_entries:
+            self.sq.drain(self.memory)
+        self._pmcc[PmcEvent.RETIRED_OPS] += self.retired
+        result = self.result
+        result.cycles = frontier
+        result.retired = self.retired
+        return result
+
+    def _quiesce(self) -> None:
+        """Resolve every pending store at the end of the program and halt,
+        unless a squash rewound execution."""
         horizon = self._sq_horizon()
         if self._resolve_stores(horizon):
-            return True
+            return
         if horizon > self.dispatch:
             self.dispatch = horizon
-        self.sq.commit_ready(self.memory, self.dispatch, self._commit_ceiling())
-        return False
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _dispatch_one(self, index: int) -> None:
-        dec = self.dec
-        op = dec.ops[index]
-        if op == OP_LABEL:
-            self.index = index + 1
-            return  # zero-size, zero-time
-        self._pmcc[PmcEvent.ITLB_HIT_4K] += 1
-        d = self.dispatch
-        if self.trace is not None:
-            self.trace.emit(
-                DispatchEvent(
-                    cycle=d,
-                    thread=self.tid,
-                    index=index,
-                    op=dec.names[index],
-                )
+        if self.sq_entries:
+            window = self.window
+            self.sq.commit_ready(
+                self.memory, self.dispatch, None if window is None else window.base_seq
             )
-        args = dec.args[index]
-        # Opcode chain ordered roughly by dynamic frequency in the fuzz
-        # and experiment workloads (ALU/IMUL address-generation chains
-        # dominate, then memory ops).
-        if op == OP_ALU:
-            dst, a, b, code, opname = args
-            regs = self.regs
-            ready = self.ready
-            av = regs.get(a, 0)
-            bv = regs.get(b, 0)
-            start = d
-            ra = ready.get(a, 0)
-            if ra > start:
-                start = ra
-            rb = ready.get(b, 0)
-            if rb > start:
-                start = rb
-            if code == ALU_ADD:
-                value = av + bv
-            elif code == ALU_SUB:
-                value = av - bv
-            elif code == ALU_XOR:
-                value = av ^ bv
-            elif code == ALU_AND:
-                value = av & bv
-            elif code == ALU_OR:
-                value = av | bv
-            else:
-                raise InvalidInstruction(f"unknown ALU op {opname!r}")
-            self._set_reg(dst, value, start + self.lat.alu)
-        elif op == OP_ALUIMM:
-            dst, src, imm, code, opname = args
-            av = self.regs.get(src, 0)
-            start = d
-            rs = self.ready.get(src, 0)
-            if rs > start:
-                start = rs
-            if code == ALU_ADD:
-                value = av + imm
-            elif code == ALU_SUB:
-                value = av - imm
-            elif code == ALU_XOR:
-                value = av ^ imm
-            elif code == ALU_AND:
-                value = av & imm
-            elif code == ALU_OR:
-                value = av | imm
-            else:
-                raise InvalidInstruction(f"unknown ALU op {opname!r}")
-            self._set_reg(dst, value, start + self.lat.alu)
-        elif op == OP_IMUL:
-            dst, a, b = args
-            value = self.regs.get(a, 0) * self.regs.get(b, 0)
-            start = d
-            ra = self.ready.get(a, 0)
-            if ra > start:
-                start = ra
-            rb = self.ready.get(b, 0)
-            if rb > start:
-                start = rb
-            self._set_reg(dst, value, start + self.lat.imul)
-        elif op == OP_IMULIMM:
-            dst, src, imm = args
-            value = self.regs.get(src, 0) * imm
-            start = d
-            rs = self.ready.get(src, 0)
-            if rs > start:
-                start = rs
-            self._set_reg(dst, value, start + self.lat.imul)
-        elif op == OP_MOVIMM:
-            self._set_reg(args[0], args[1], d)
-        elif op == OP_MOV:
-            dst, src = args
-            rs = self.ready.get(src, 0)
-            self._set_reg(dst, self.regs.get(src, 0), rs if rs > d else d)
-        elif op == OP_LOAD:
-            self._exec_load(index, args, d)
-        elif op == OP_STORE:
-            self._exec_store(index, args, d)
-        elif op == OP_PAD:
-            pass
-        elif op == OP_JZ:
-            self._exec_branch(index, args, d)
-            return  # the branch manages index/dispatch itself
-        elif op == OP_HALT:
-            if self.window is not None:
-                # A wrong path ran into Halt: fast-forward to the window's
-                # resolve point; the main loop will squash it.
-                if self.window.stop > self.dispatch:
-                    self.dispatch = self.window.stop
-                return
-            self.retired += 1
-            if self.trace is not None:
-                self._trace_commit(index, dec.names[index], d)
-            if not self._quiesce():
-                self.halted = True
-            return
-        elif op == OP_MFENCE:
-            before = self.index
-            self._exec_mfence()
-            if self.index != before:
-                return  # a squash rewound us; the fence will re-execute
-            self.retired += 1
-            if self.trace is not None:
-                self._trace_commit(index, dec.names[index], d)
-            self.index = index + 1
-            if d + 1 > self.dispatch:
-                self.dispatch = d + 1
-            return
-        elif op == OP_RDPRU:
-            frontier = max(self.ready.values(), default=0)
-            if d > frontier:
-                frontier = d
-            self._set_reg(args[0], self.thread.cycles + self._noisy(frontier), d)
-        elif op == OP_CLFLUSH:
-            base, offset = args
-            vaddr = (self.regs.get(base, 0) + offset) & _U64
-            paddr = self._translate(vaddr, Perm.R)
-            self.hierarchy.clflush(paddr)
-        else:
-            raise InvalidInstruction(f"unhandled instruction {dec.insts[index]!r}")
-        self.retired += 1
-        if self.trace is not None:
-            self._trace_commit(index, dec.names[index], d)
-        self.index = index + 1
-        self.dispatch = d + 1
+        self.halted = True
 
-    def _trace_commit(self, index: int, opname: str, cycle: int) -> None:
+    def _trace_commit(self, index: int, opname: str, cycle: int, retired: int) -> None:
         self.trace.emit(
             CommitEvent(
                 cycle=cycle,
                 thread=self.tid,
                 index=index,
                 op=opname,
-                retired=self.retired,
+                retired=retired,
             )
         )
-
-    def _exec_mfence(self) -> None:
-        ready = self.ready
-        horizon = self._sq_horizon()
-        if ready:
-            frontier = max(ready.values())
-            if frontier > horizon:
-                horizon = frontier
-        if self._resolve_stores(horizon):
-            return
-        if horizon > self.dispatch:
-            self.dispatch = horizon
-        self.sq.commit_ready(self.memory, self.dispatch, self._commit_ceiling())
 
     # ------------------------------------------------------------------
     # Stores
@@ -775,47 +874,44 @@ class _ExecState:
         regs = self.regs
         ready = self.ready
         vaddr = (regs.get(base, 0) + offset) & _U64
-        paddr = self._translate(vaddr, Perm.W)
+        paddr = self.kernel.translate(self.process, vaddr, _PERM_W, self.thread)
         rb = ready.get(base, 0)
         addr_ready = (rb if rb > d else d) + self.lat.alu
         rs = ready.get(src, 0)
         data_ready = rs if rs > d else d
         value = regs.get(src, 0)
         self.seq += 1
+        # Fields in order: seq, paddr, size, data, addr_ready, data_ready,
+        # store_ipa (positional for the same reason as _SpecLoad).
         self.sq.push(
             StoreEntry(
-                seq=self.seq,
-                paddr=paddr,
-                size=width,
-                data=value.to_bytes(8, "little")[:width],
-                addr_ready=addr_ready,
-                data_ready=data_ready,
-                store_ipa=self._ipa_of_instruction(index),
+                self.seq, paddr, width, value.to_bytes(8, "little")[:width],
+                addr_ready, data_ready, self._ipa_of_instruction(index),
             )
         )
 
     # ------------------------------------------------------------------
     # Loads
     # ------------------------------------------------------------------
-    def _exec_load(self, index: int, args: tuple, d: int) -> None:
+    def _exec_load(self, index: int, args: tuple, d: int) -> tuple[int, int]:
+        """Execute a load; returns ``(value, ready cycle)`` for the
+        caller's register write (after any rollback point it opened)."""
         dst, base, offset, width = args
         self._pmcc[PmcEvent.LD_DISPATCH] += 1
         vaddr = (self.regs.get(base, 0) + offset) & _U64
         rb = self.ready.get(base, 0)
         addr_ready = (rb if rb > d else d) + self.lat.alu
         try:
-            paddr = self._translate(vaddr, Perm.R)
+            paddr = self.kernel.translate(self.process, vaddr, _PERM_R, self.thread)
         except SegmentationFault as fault:
-            self._faulting_load(dst, addr_ready, fault)
-            return
+            return self._faulting_load(addr_ready, fault)
 
         self.seq += 1
         load_seq = self.seq
         pending = self.sq.nearest_unresolved(load_seq, addr_ready)
 
         if pending is None:
-            self._plain_load(dst, width, load_seq, paddr, addr_ready)
-            return
+            return self._plain_load(width, load_seq, paddr, addr_ready)
 
         load_ipa = self._ipa_of_instruction(index)
 
@@ -840,21 +936,29 @@ class _ExecState:
                 )
             )
 
-        # Other unresolved older stores the load will read around: if any
-        # aliases, the bypass/forward result is wrong no matter what the
+        # Every unresolved older store delays a stall until its address
+        # generation; the ones other than ``pending`` that alias the load
+        # make a bypass/forward result wrong no matter what the
         # (nearest-store) prediction said — a memory-ordering violation.
-        unresolved = self.sq.unresolved_older(load_seq, addr_ready)
-        aliasing_others = [
-            entry
-            for entry in unresolved
-            if entry is not pending and entry.overlaps(paddr, width)
-        ]
+        # One pass, and a list only when such a store exists.
+        stall_until = addr_ready
+        aliasing_others = None
+        for entry in self.sq_entries:
+            if entry.addr_ready <= addr_ready or entry.seq >= load_seq or entry.committed:
+                continue
+            if entry.addr_ready > stall_until:
+                stall_until = entry.addr_ready
+            if entry is not pending and entry.overlaps(paddr, width):
+                if aliasing_others is None:
+                    aliasing_others = [entry]
+                else:
+                    aliasing_others.append(entry)
 
+        stalls = prediction.aliasing and not prediction.psf_forward
         will_squash = (
             (prediction.aliasing and prediction.psf_forward and not covers)
             or (not prediction.aliasing and truth)
-            or (not (prediction.aliasing and not prediction.psf_forward)
-                and bool(aliasing_others))
+            or (not stalls and aliasing_others is not None)
         )
         snapshot = self._snapshot() if will_squash else None
 
@@ -862,7 +966,7 @@ class _ExecState:
             # Predictive store forwarding (type C right / D wrong).
             value = self._forward_value(pending, width)
             complete = max(addr_ready, pending.data_ready) + self.lat.sq_forward
-            self.pmc.add(PmcEvent.STLF)
+            self._pmcc[PmcEvent.STLF] += 1
             if self.trace is not None:
                 self.trace.emit(
                     StldForwardEvent(
@@ -873,33 +977,27 @@ class _ExecState:
                         correct=covers,
                     )
                 )
-        elif prediction.aliasing:
+        elif stalls:
             # Stall until address generation of *every* older unresolved
             # store (A/B/E/F): with PSF off the load cannot disambiguate
             # until the addresses are known, and waiting only for the
             # nearest store would read around an older aliasing store
             # whose address resolves later — with no guard to repair it.
             # This wait-for-all is also exactly SSBD's guarantee.
-            stall_until = max(
-                [addr_ready] + [entry.addr_ready for entry in unresolved]
-            )
-            self.pmc.add(
-                PmcEvent.SQ_STALL_TOKENS, max(0, stall_until - addr_ready)
-            )
-            aliasing = [
-                entry
-                for entry in unresolved
-                if entry.overlaps(paddr, width)
-            ]
-            if aliasing:
+            self._pmcc[PmcEvent.SQ_STALL_TOKENS] += stall_until - addr_ready
+            if truth or aliasing_others is not None:
                 value = self._merged_read(
                     load_seq, paddr, width, stall_until, True
                 )
-                complete = (
-                    max([stall_until] + [entry.data_ready for entry in aliasing])
-                    + self.lat.sq_forward
-                )
-                self.pmc.add(PmcEvent.STLF)
+                # Wait for the data of every unresolved store that aliases.
+                complete = stall_until
+                if truth and pending.data_ready > complete:
+                    complete = pending.data_ready
+                for entry in aliasing_others or ():
+                    if entry.data_ready > complete:
+                        complete = entry.data_ready
+                complete += self.lat.sq_forward
+                self._pmcc[PmcEvent.STLF] += 1
             else:
                 latency, _ = self.hierarchy.load(paddr)
                 value = self._merged_read(
@@ -933,22 +1031,17 @@ class _ExecState:
                     )
                 )
 
-        record = _SpecLoad(
-            load_seq=load_seq,
-            load_index=index,
-            load_ipa=load_ipa,
-            load_hash=load_hash,
-            store_hash=store_hash,
-            paddr=paddr,
-            width=width,
-            prediction=prediction,
-            truth=truth,
-            covers=covers,
-            snapshot=snapshot,
+        # Positional: a keyword call costs this hot path about twice as much.
+        pending.speculated_loads.append(
+            _SpecLoad(
+                load_seq, index, load_ipa, load_hash, store_hash, prediction,
+                truth, covers, snapshot,
+            )
         )
-        pending.speculated_loads.append(record)
         self._nrec += 1
-        if not (prediction.aliasing and not prediction.psf_forward):
+        if pending.addr_ready < self._resolve_at:
+            self._resolve_at = pending.addr_ready
+        if not stalls and aliasing_others is not None:
             # Bypass and PSF paths read around *every* unresolved store;
             # attach a guard to each aliasing one so its resolution
             # squashes the load even though the nearest-store prediction
@@ -959,46 +1052,39 @@ class _ExecState:
                 snapshot.refs += 1
                 entry.speculated_loads.append(
                     _SpecLoad(
-                        load_seq=load_seq,
-                        load_index=index,
-                        load_ipa=load_ipa,
-                        load_hash=load_hash,
-                        store_hash=store_hash,
-                        paddr=paddr,
-                        width=width,
-                        prediction=prediction,
-                        truth=True,
-                        covers=entry.covers(paddr, width),
-                        snapshot=snapshot,
-                        guard=True,
+                        load_seq, index, load_ipa, load_hash, store_hash, prediction,
+                        True, entry.covers(paddr, width), snapshot, True,
                     )
                 )
                 self._nrec += 1
-        self._set_reg(dst, value, complete)
+                if entry.addr_ready < self._resolve_at:
+                    self._resolve_at = entry.addr_ready
+        return value, complete
 
     def _plain_load(
-        self, dst: str, width: int, load_seq: int, paddr: int, addr_ready: int
-    ) -> None:
+        self, width: int, load_seq: int, paddr: int, addr_ready: int
+    ) -> tuple[int, int]:
         forwarding = self.sq.forwarding_store(load_seq, paddr, width, addr_ready)
         value = self._merged_read(load_seq, paddr, width, addr_ready, False)
         if forwarding is not None and forwarding.covers(paddr, width):
             complete = max(addr_ready, forwarding.data_ready) + self.lat.sq_forward
-            self.pmc.add(PmcEvent.STLF)
+            self._pmcc[PmcEvent.STLF] += 1
         else:
             latency, _ = self.hierarchy.load(paddr)
             complete = addr_ready + latency
-        self._set_reg(dst, value, complete)
+        return value, complete
 
     def _faulting_load(
-        self, dst: str, addr_ready: int, fault: SegmentationFault
-    ) -> None:
+        self, addr_ready: int, fault: SegmentationFault
+    ) -> tuple[int, int]:
         """A faulting load: younger work runs transiently until the fault
         delivers at retire.  AMD does not forward faulting-load data, so
         the destination reads as zero (never secret-bearing)."""
-        if self._in_speculative_context():
-            # Fault inside an existing window: suppressed entirely.
-            self._set_reg(dst, 0, addr_ready + self.lat.l1_hit)
-            return
+        complete = addr_ready + self.lat.l1_hit
+        # Inside an existing window (a live rollback point means some
+        # speculation could still squash) the fault is suppressed entirely.
+        if self.window is not None or self._jlive:
+            return 0, complete
         self.window = _TransientWindow(
             stop=addr_ready + FAULT_WINDOW,
             snapshot=self._snapshot(),
@@ -1016,60 +1102,7 @@ class _ExecState:
                     window_stop=self.window.stop,
                 )
             )
-        self._set_reg(dst, 0, addr_ready + self.lat.l1_hit)
-
-    # ------------------------------------------------------------------
-    # Branches
-    # ------------------------------------------------------------------
-    def _exec_branch(self, index: int, args: tuple, d: int) -> None:
-        cond, target, label = args
-        iva = self.dec.ivas[index]
-        taken = self.regs.get(cond, 0) == 0
-        predicted = self.pipe.predict_branch(iva)
-        rc = self.ready.get(cond, 0)
-        resolve = (rc if rc > d else d) + self.lat.alu
-        self.pipe.train_branch(iva, taken)
-        if self.trace is not None:
-            self.trace.emit(
-                BranchPredictEvent(
-                    cycle=d,
-                    thread=self.tid,
-                    index=index,
-                    iva=iva,
-                    predicted_taken=predicted,
-                )
-            )
-            self.trace.emit(
-                BranchResolveEvent(
-                    cycle=resolve,
-                    thread=self.tid,
-                    index=index,
-                    iva=iva,
-                    taken=taken,
-                    mispredicted=predicted != taken,
-                )
-            )
-        if target is None:
-            raise InvalidInstruction(f"unknown label {label!r}")
-        fallthrough = index + 1
-        self.retired += 1
-        if self.trace is not None:
-            self._trace_commit(index, self.dec.names[index], d)
-        if predicted == taken or self.window is not None:
-            # Correct prediction — or a nested mispredict inside an open
-            # window (single-level wrong-path model): follow the truth.
-            self.index = target if taken else fallthrough
-            self.dispatch = d + 1
-            return
-        # Mispredicted: run the wrong path transiently until resolution.
-        self.window = _TransientWindow(
-            stop=resolve,
-            snapshot=self._snapshot(),
-            resume_index=target if taken else fallthrough,
-            base_seq=self.seq,
-        )
-        self.index = target if predicted else fallthrough  # wrong path
-        self.dispatch = d + 1
+        return 0, complete
 
     # ------------------------------------------------------------------
     # Squash machinery
@@ -1103,13 +1136,9 @@ class _ExecState:
         result = self.unit.access(
             record.store_hash, record.load_hash, record.truth
         )
+        # Positional: exec_type, store_ipa, load_ipa, cycle.
         self.result.events.append(
-            StldEvent(
-                exec_type=result.exec_type,
-                store_ipa=entry.store_ipa,
-                load_ipa=record.load_ipa,
-                cycle=now,
-            )
+            StldEvent(result.exec_type, entry.store_ipa, record.load_ipa, now)
         )
         return result.exec_type
 
@@ -1123,7 +1152,7 @@ class _ExecState:
         self._deref(window.snapshot)
         self.dispatch = window.stop + self.lat.rollback
         self.result.rollbacks += 1
-        self.pmc.add(PmcEvent.ROLLBACK)
+        self._pmcc[PmcEvent.ROLLBACK] += 1
         if self.trace is not None:
             self.trace.emit(
                 SquashEvent(
@@ -1157,50 +1186,46 @@ class _ExecState:
         Applies the TABLE I update for every speculated load of every
         resolved store (in program order), then squashes from the first
         load whose speculation turned out wrong.  Returns True when a
-        squash rewound the pipeline.
+        squash rewound the pipeline.  Committing resolved stores is the
+        caller's job.
         """
-        if self._nrec:
-            for entry in self.sq_entries:
-                if entry.addr_ready > now:
-                    continue
-                records = entry.speculated_loads
-                if not records:
-                    continue
-                entry.speculated_loads = []
-                self._nrec -= len(records)
-                squashing: _SpecLoad | None = None
-                for record in records:
-                    if record.guard:
-                        wrong = True  # guards are only attached when aliasing
-                    else:
-                        exec_type = self._apply_predictor_update(entry, record, now)
-                        wrong = exec_type.rollback or (
-                            exec_type is ExecType.C and not record.covers
-                        )
-                    if squashing is None and wrong and record.snapshot is not None:
-                        squashing = record
-                if squashing is not None:
-                    self._squash_from(squashing, entry, now)
-                    # The rollback points of the records just consumed die
-                    # only now, after the restore used the journal.
-                    for record in records:
-                        if record.snapshot is not None:
-                            self._deref(record.snapshot)
-                    return True
+        if not self._nrec:
+            return False
+        upcoming = _NEVER
+        for entry in self.sq_entries:
+            records = entry.speculated_loads
+            if not records:
+                continue
+            if entry.addr_ready > now:
+                if entry.addr_ready < upcoming:
+                    upcoming = entry.addr_ready
+                continue
+            entry.speculated_loads = []
+            self._nrec -= len(records)
+            squashing: _SpecLoad | None = None
+            for record in records:
+                if record.guard:
+                    wrong = True  # guards are only attached when aliasing
+                else:
+                    exec_type = self._apply_predictor_update(entry, record, now)
+                    wrong = exec_type in _ROLLBACK_TYPES or (
+                        exec_type is _TYPE_C and not record.covers
+                    )
+                if squashing is None and wrong and record.snapshot is not None:
+                    squashing = record
+            if squashing is not None:
+                self._squash_from(squashing, entry, now)
+                # The rollback points of the records just consumed die
+                # only now, after the restore used the journal.
                 for record in records:
                     if record.snapshot is not None:
                         self._deref(record.snapshot)
-        # commit_ready commits nothing unless the head store is fully
-        # ready and under the window ceiling — replicate its break
-        # conditions here so the common not-yet case costs no call.
-        entries = self.sq_entries
-        if entries:
-            head = entries[0]
-            if head.addr_ready <= now and head.data_ready <= now:
-                window = self.window
-                ceiling = None if window is None else window.base_seq
-                if ceiling is None or head.seq <= ceiling:
-                    self.sq.commit_ready(self.memory, now, ceiling)
+                self._resolve_at = 0  # stores not scanned yet: rescan
+                return True
+            for record in records:
+                if record.snapshot is not None:
+                    self._deref(record.snapshot)
+        self._resolve_at = upcoming
         return False
 
     def _squash_from(self, record: _SpecLoad, entry: StoreEntry, now: int) -> None:
@@ -1221,7 +1246,7 @@ class _ExecState:
             penalty += self.lat.psf_rollback_extra
         self.dispatch = max(now, entry.addr_ready) + penalty
         self.result.rollbacks += 1
-        self.pmc.add(PmcEvent.ROLLBACK)
+        self._pmcc[PmcEvent.ROLLBACK] += 1
         if self.trace is not None:
             self.trace.emit(
                 SquashEvent(

@@ -72,18 +72,6 @@ class StoreQueue:
     # ------------------------------------------------------------------
     # Lookups used by the load pipeline
     # ------------------------------------------------------------------
-    def older_than(self, seq: int) -> list[StoreEntry]:
-        """In-flight stores older than the given load, oldest first."""
-        return [e for e in self._entries if e.seq < seq and not e.committed]
-
-    def unresolved_older(self, seq: int, now: int) -> list[StoreEntry]:
-        """Older stores whose address is not yet generated at cycle ``now``."""
-        return [
-            e
-            for e in self._entries
-            if e.seq < seq and not e.committed and e.addr_ready > now
-        ]
-
     def nearest_unresolved(self, seq: int, now: int) -> StoreEntry | None:
         """The youngest older unresolved store (the one the paper's stld
         microbenchmark races against)."""
@@ -96,7 +84,9 @@ class StoreQueue:
         self, seq: int, paddr: int, size: int, now: int
     ) -> StoreEntry | None:
         """Youngest older *resolved* store whose data covers the load."""
-        for entry in reversed(self.older_than(seq)):
+        for entry in reversed(self._entries):
+            if entry.seq >= seq or entry.committed:
+                continue
             if entry.addr_ready <= now and entry.covers(paddr, size):
                 return entry
             if entry.addr_ready <= now and entry.overlaps(paddr, size):

@@ -1,23 +1,38 @@
-"""Cheap contract tests for the equivalence gate.
+"""The equivalence gate: its guards, and the part of it that runs here.
 
-The gate's real work — recomputing behaviour digests over experiments,
-corpus and traces — runs minutes, so it is exercised by ``python -m
-repro.bench.equivalence`` before committing core changes (see
-docs/performance.md), not by the unit suite.  What belongs here are the
-guards: tier validation and the golden-file schema check, which protect
-against silently comparing incompatible digests.
+The ``corpus`` and ``traces`` sections of ``benchmarks/GOLDEN.json`` do
+not depend on the tier and take well under a second, so they are
+recomputed and compared here: they pin dual execution of the regression
+corpus under every mitigation and per-cycle pipeline traces.  The
+``experiments`` section (every registered experiment at the golden
+file's full tier, minutes) is checked by ``make equivalence-check``
+before committing core changes (see docs/performance.md).  The other
+tests are the guards: tier validation and the golden-file schema check,
+which protect against silently comparing incompatible digests.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.equivalence import (
     EQUIV_SCHEMA,
     FAST_EXPERIMENTS,
+    _corpus_digest,
+    _traces_digest,
     check_golden,
     compute_digest,
 )
+
+GOLDEN = Path(__file__).resolve().parents[2] / "benchmarks" / "GOLDEN.json"
+
+
+def test_corpus_and_traces_match_the_golden_file():
+    golden = json.loads(GOLDEN.read_text())["sections"]
+    current = {"corpus": _corpus_digest(), "traces": _traces_digest()}
+    changed = [section for section, digest in current.items() if digest != golden[section]]
+    assert not changed, f"behaviour changed in GOLDEN.json section(s): {', '.join(changed)}"
 
 
 def test_unknown_tier_rejected():

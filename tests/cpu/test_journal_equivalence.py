@@ -71,6 +71,11 @@ def test_journal_restore_matches_full_copy(shadow_verifier):
     assert shadow_verifier["restores"] > 50
 
 
+#: About half the restores each mitigation's corpus produced when these
+#: floors were set (28, 4 and 4): ssbd and fence leave only branch windows.
+RESTORE_FLOORS = {"none": 14, "ssbd": 2, "fence": 2}
+
+
 @pytest.mark.parametrize("mitigation", MITIGATIONS)
 def test_journal_restore_under_mitigations(shadow_verifier, mitigation):
     """Mitigations suppress (but do not eliminate) speculation; what
@@ -78,6 +83,7 @@ def test_journal_restore_under_mitigations(shadow_verifier, mitigation):
     for seed in range(12):
         run_fuzz_case(seed, mitigation=mitigation)
     assert shadow_verifier["failures"] == []
+    assert shadow_verifier["restores"] > RESTORE_FLOORS[mitigation]
 
 
 def test_journal_restore_same_snapshot_twice(shadow_verifier):
@@ -86,6 +92,8 @@ def test_journal_restore_same_snapshot_twice(shadow_verifier):
     for seed in (97, 98, 99, 100, 101):
         run_fuzz_case(seed, blocks=20)
     assert shadow_verifier["failures"] == []
+    # 22 restores when this floor was set.
+    assert shadow_verifier["restores"] > 11
 
 
 def test_journal_empty_outside_speculation():

@@ -58,13 +58,6 @@ class TestOverlap:
 
 
 class TestLookups:
-    def test_unresolved_older(self):
-        queue = StoreQueue()
-        queue.push(entry(1, 0x100, addr_ready=50))
-        queue.push(entry(2, 0x200, addr_ready=5))
-        unresolved = queue.unresolved_older(seq=3, now=10)
-        assert [e.seq for e in unresolved] == [1]
-
     def test_nearest_unresolved_is_youngest(self):
         queue = StoreQueue()
         queue.push(entry(1, 0x100, addr_ready=50))

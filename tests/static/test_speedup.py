@@ -6,6 +6,7 @@ replaces — the programs ``fuzz.dual``-style campaigns would otherwise
 run through the dynamic two-fill oracle.
 """
 
+import gc
 import time
 
 from repro.fuzz.gen import build_program
@@ -24,16 +25,29 @@ def test_scanner_at_least_10x_faster_than_the_dynamic_oracle():
     scan_program(programs[0])
     leak_check_instructions(programs[0], seed=SEEDS[0])
 
-    start = time.perf_counter()
-    for _ in range(3):
-        for instructions in programs:
-            scan_program(instructions)
-    static_elapsed = (time.perf_counter() - start) / 3
+    # Both regions run under the same conditions, timeit's convention:
+    # collected first, then with the cyclic GC off.  Otherwise whatever
+    # the session left tracked (the hypothesis plugin leaves tens of
+    # thousands of objects with the gen-2 counter at its threshold) lands
+    # a full collection inside whichever region allocates first.
+    gc_was_enabled = gc.isenabled()
+    try:
+        gc.collect()
+        gc.disable()
+        start = time.perf_counter()
+        for _ in range(3):
+            for instructions in programs:
+                scan_program(instructions)
+        static_elapsed = (time.perf_counter() - start) / 3
 
-    start = time.perf_counter()
-    for seed, instructions in zip(SEEDS, programs):
-        leak_check_instructions(instructions, seed=seed)
-    dynamic_elapsed = time.perf_counter() - start
+        gc.collect()
+        start = time.perf_counter()
+        for seed, instructions in zip(SEEDS, programs):
+            leak_check_instructions(instructions, seed=seed)
+        dynamic_elapsed = time.perf_counter() - start
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     assert static_elapsed > 0
     ratio = dynamic_elapsed / static_elapsed
